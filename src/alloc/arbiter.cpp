@@ -2,21 +2,6 @@
 
 namespace dxbar {
 
-int RoundRobinArbiter::pick(std::uint32_t requests) const noexcept {
-  if (requests == 0) return -1;
-  for (int k = 0; k < n_; ++k) {
-    const int i = (next_ + k) % n_;
-    if (requests & (1u << i)) return i;
-  }
-  return -1;
-}
-
-int RoundRobinArbiter::grant(std::uint32_t requests) noexcept {
-  const int winner = pick(requests);
-  if (winner >= 0) next_ = (winner + 1) % n_;
-  return winner;
-}
-
 int pick_oldest(std::span<const Flit* const> candidates) noexcept {
   int best = -1;
   for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {

@@ -5,8 +5,13 @@
 // designs and DXbar, where the oldest flit must win to bound deflections).
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/flit.hpp"
 #include "snapshot/snapshot.hpp"
@@ -17,25 +22,52 @@ namespace dxbar {
 /// winning index (or -1 when no requests) and rotates priority past it.
 class RoundRobinArbiter {
  public:
-  explicit RoundRobinArbiter(int num_inputs) : n_(num_inputs) {}
+  explicit RoundRobinArbiter(int num_inputs) : n_(num_inputs) {
+    assert(num_inputs >= 1 && num_inputs <= 32);
+  }
 
-  /// `requests` bit i set means input i requests the resource.
-  [[nodiscard]] int pick(std::uint32_t requests) const noexcept;
+  /// `requests` bit i set means input i requests the resource.  The first
+  /// requester at or after the priority pointer wins, wrapping to the
+  /// lowest requester; bits at or above `num_inputs` are ignored.
+  [[nodiscard]] int pick(std::uint32_t requests) const noexcept {
+    const std::uint32_t live = requests & (~0u >> (32 - n_));
+    if (live == 0) return -1;
+    const std::uint32_t high = live & (~0u << next_);
+    return std::countr_zero(high != 0 ? high : live);
+  }
 
   /// Picks and advances the priority pointer past the winner.
-  int grant(std::uint32_t requests) noexcept;
+  int grant(std::uint32_t requests) noexcept {
+    const int winner = pick(requests);
+    if (winner >= 0) next_ = winner + 1 == n_ ? 0 : winner + 1;
+    return winner;
+  }
 
   [[nodiscard]] int num_inputs() const noexcept { return n_; }
   [[nodiscard]] int priority_pointer() const noexcept { return next_; }
 
   // Snapshot protocol: the rotating priority pointer is the only state.
   void save(SnapshotWriter& w) const { w.i32(next_); }
-  void load(SnapshotReader& r) { next_ = r.i32(); }
+  void load(SnapshotReader& r) {
+    next_ = r.i32();
+    if (next_ < 0 || next_ >= n_) {
+      throw SnapshotError("round-robin pointer out of range");
+    }
+  }
 
  private:
   int n_;
-  int next_ = 0;
+  int next_ = 0;  ///< always in [0, n_)
 };
+
+/// A fixed bank of `N` arbiters, each over `num_inputs` requesters.
+template <std::size_t N>
+std::array<RoundRobinArbiter, N> arbiter_bank(int num_inputs) {
+  return [num_inputs]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<RoundRobinArbiter, N>{
+        ((void)I, RoundRobinArbiter(num_inputs))...};
+  }(std::make_index_sequence<N>{});
+}
 
 /// Index of the oldest flit among the non-null entries (age-based
 /// priority with the deterministic tie-break from Flit::older_than);

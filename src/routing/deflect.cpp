@@ -1,7 +1,5 @@
 #include "routing/deflect.hpp"
 
-#include <algorithm>
-
 namespace dxbar {
 
 bool is_productive(const Mesh& mesh, NodeId cur, NodeId dst, Direction dir) {
@@ -17,6 +15,17 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
   const int dx = mesh.offset_x(cur, dst);
   const int dy = mesh.offset_y(cur, dst);
 
+  // Link existence from the current coordinate: a torus has every link,
+  // a mesh lacks the ones leaving its edge.
+  const Coord c = mesh.coord(cur);
+  const bool wrap = mesh.wraps();
+  const std::array<bool, kNumLinkDirs> has_link = {
+      wrap || c.x + 1 < mesh.width(), wrap || c.x > 0,
+      wrap || c.y + 1 < mesh.height(), wrap || c.y > 0};
+  // Signed offset remaining along each direction's axis, positive when
+  // the direction is productive (indexed like kLinkDirs).
+  const std::array<int, kNumLinkDirs> progress = {dx, -dx, dy, -dy};
+
   // Score each direction: progress made (+2 per productive hop with the
   // larger remaining offset slightly preferred), link existence required.
   struct Ranked {
@@ -24,34 +33,22 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
     int score;
   };
   std::array<Ranked, kNumLinkDirs> ranked{};
-  int i = 0;
-  for (Direction dir : kLinkDirs) {
-    int score = 0;
-    if (!mesh.has_link(cur, dir)) {
-      score = -1000;  // never pick a missing edge link
-    } else {
-      // Signed offset remaining along this direction's axis, positive when
-      // the direction is productive.
-      int progress = 0;
-      switch (dir) {
-        case Direction::East: progress = dx; break;
-        case Direction::West: progress = -dx; break;
-        case Direction::North: progress = dy; break;
-        case Direction::South: progress = -dy; break;
-        case Direction::Local: break;
-      }
-      if (progress > 0) {
-        score = 100 + progress;  // productive: larger offsets first
-      } else if (progress < 0) {
-        score = -10;  // anti-productive: last resort
-      }
+  for (int i = 0; i < kNumLinkDirs; ++i) {
+    int score = -1000;  // never pick a missing edge link
+    if (has_link[i]) {
+      const int p = progress[i];
+      score = p > 0 ? 100 + p   // productive: larger offsets first
+              : p < 0 ? -10     // anti-productive: last resort
+                      : 0;
       // Deterministic tie-break so deflections spread over directions.
-      score = score * 4 + static_cast<int>((salt >> (port_index(dir) * 2)) & 3);
+      score = score * 4 + static_cast<int>((salt >> (i * 2)) & 3);
     }
-    ranked[i++] = {dir, score};
+    // Stable insertion sort, best score first (equal scores keep
+    // kLinkDirs order, exactly as std::sort does below 16 elements).
+    int k = i;
+    for (; k > 0 && ranked[k - 1].score < score; --k) ranked[k] = ranked[k - 1];
+    ranked[k] = {kLinkDirs[i], score};
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.score > b.score; });
 
   std::array<Direction, kNumLinkDirs> out{};
   for (int k = 0; k < kNumLinkDirs; ++k) out[k] = ranked[k].dir;

@@ -2,11 +2,16 @@
 // unified dual-input allocator, fairness counter.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <vector>
+
 #include "alloc/arbiter.hpp"
 #include "alloc/fairness.hpp"
 #include "alloc/separable_allocator.hpp"
 #include "alloc/unified_allocator.hpp"
 #include "common/rng.hpp"
+#include "common/small_vec.hpp"
 
 namespace dxbar {
 namespace {
@@ -42,6 +47,25 @@ TEST(RoundRobin, FairnessOverManyCycles) {
   EXPECT_EQ(wins[2], 100);
 }
 
+TEST(RoundRobin, SnapshotRejectsPointerOutOfRange) {
+  // pick() shifts by the pointer, so a restored pointer must lie in
+  // [0, n); a corrupt stream is refused instead.
+  for (const std::int32_t bad : {-1, 4, 32}) {
+    SnapshotWriter w;
+    w.i32(bad);
+    SnapshotReader r(w.data());
+    RoundRobinArbiter arb(4);
+    EXPECT_THROW(arb.load(r), SnapshotError) << bad;
+  }
+  SnapshotWriter w;
+  w.i32(3);
+  SnapshotReader r(w.data());
+  RoundRobinArbiter arb(4);
+  arb.load(r);
+  EXPECT_EQ(arb.grant(0b1001), 3);
+  EXPECT_EQ(arb.priority_pointer(), 0);
+}
+
 TEST(PickOldest, FindsOldestAndHandlesNulls) {
   Flit a{.packet = 1, .born_at = 30};
   Flit b{.packet = 2, .born_at = 10};
@@ -55,12 +79,14 @@ TEST(PickOldest, FindsOldestAndHandlesNulls) {
 
 // ---- separable allocator -----------------------------------------------
 
-bool grants_are_legal(const std::vector<std::uint32_t>& req,
-                      const std::vector<int>& grant, int num_outputs) {
+bool grants_are_legal(std::span<const std::uint32_t> req,
+                      const std::array<int, kNumPorts>& grant,
+                      int num_outputs) {
   std::vector<int> out_owner(static_cast<std::size_t>(num_outputs), -1);
   for (std::size_t i = 0; i < grant.size(); ++i) {
     const int o = grant[i];
     if (o < 0) continue;
+    if (i >= req.size()) return false;                  // grant to no input
     if (!(req[i] & (1u << o))) return false;            // unrequested grant
     if (out_owner[static_cast<std::size_t>(o)] >= 0) return false;  // dup
     out_owner[static_cast<std::size_t>(o)] = static_cast<int>(i);
@@ -70,7 +96,7 @@ bool grants_are_legal(const std::vector<std::uint32_t>& req,
 
 TEST(Separable, SingleRequestGranted) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   req[2] = 0b00010;  // input 2 wants output 1
   const auto g = alloc.allocate(req);
   EXPECT_EQ(g[2], 1);
@@ -79,7 +105,7 @@ TEST(Separable, SingleRequestGranted) {
 
 TEST(Separable, ConflictGrantsExactlyOne) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   req[0] = req[1] = req[2] = 0b00001;  // all want output 0
   const auto g = alloc.allocate(req);
   int winners = 0;
@@ -92,7 +118,7 @@ TEST(Separable, ConflictGrantsExactlyOne) {
 
 TEST(Separable, DisjointRequestsAllGranted) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   for (int i = 0; i < 5; ++i) req[static_cast<std::size_t>(i)] = 1u << i;
   const auto g = alloc.allocate(req);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(g[static_cast<std::size_t>(i)], i);
@@ -105,7 +131,7 @@ TEST(Separable, RandomRequestsAlwaysLegal) {
   SeparableAllocator alloc(5, 5);
   Rng rng(123);
   for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint32_t> req(5);
+    std::array<std::uint32_t, 5> req{};
     for (auto& r : req) r = static_cast<std::uint32_t>(rng()) & 0x1F;
     const auto g = alloc.allocate(req);
     ASSERT_TRUE(grants_are_legal(req, g, 5));
@@ -129,13 +155,14 @@ TEST(Separable, RandomRequestsAlwaysLegal) {
 
 TEST(Separable, LongRunFairness) {
   SeparableAllocator alloc(2, 1);
-  std::vector<std::uint32_t> req = {1, 1};  // both always want output 0
+  const std::array<std::uint32_t, 2> req = {1, 1};  // both want output 0
   int wins[2] = {0, 0};
   for (int i = 0; i < 1000; ++i) {
     const auto g = alloc.allocate(req);
     for (int k = 0; k < 2; ++k) {
       if (g[static_cast<std::size_t>(k)] == 0) ++wins[k];
     }
+    EXPECT_EQ(g[2], -1);  // past num_inputs: never granted
   }
   EXPECT_EQ(wins[0] + wins[1], 1000);
   EXPECT_NEAR(wins[0], 500, 1);
@@ -275,6 +302,274 @@ TEST(Unified, UncontestedDisjointSingletonsBothGranted) {
     const auto g = alloc.allocate(req, true);
     EXPECT_EQ(g.port[3].incoming_out, o1);
     EXPECT_EQ(g.port[3].buffered_out, o2);
+  }
+}
+
+// ---- differential oracles ----------------------------------------------
+//
+// The allocators compute with bitmask arithmetic.  These reference copies
+// are the straightforward scan/sort formulations they replaced; the
+// tests below hold the two bit-exact: same grants, same swaps and the
+// same arbiter-pointer evolution over long random request sequences.
+
+namespace ref {
+
+/// Modulo-scan round-robin arbiter.
+class RoundRobin {
+ public:
+  explicit RoundRobin(int n) : n_(n) {}
+
+  [[nodiscard]] int pick(std::uint32_t requests) const {
+    if (requests == 0) return -1;
+    for (int k = 0; k < n_; ++k) {
+      const int i = (next_ + k) % n_;
+      if (requests & (1u << i)) return i;
+    }
+    return -1;
+  }
+
+  int grant(std::uint32_t requests) {
+    const int winner = pick(requests);
+    if (winner >= 0) next_ = (winner + 1) % n_;
+    return winner;
+  }
+
+  [[nodiscard]] int priority_pointer() const { return next_; }
+  void save(SnapshotWriter& w) const { w.i32(next_); }
+
+ private:
+  int n_;
+  int next_ = 0;
+};
+
+/// Two-stage separable allocator over heap vectors.
+class Separable {
+ public:
+  Separable(int num_inputs, int num_outputs)
+      : num_inputs_(num_inputs), num_outputs_(num_outputs) {
+    for (int o = 0; o < num_outputs; ++o) output_arbiters_.emplace_back(num_inputs);
+    for (int i = 0; i < num_inputs; ++i) input_arbiters_.emplace_back(num_outputs);
+  }
+
+  std::vector<int> allocate(const std::vector<std::uint32_t>& requests) {
+    std::vector<int> output_winner(static_cast<std::size_t>(num_outputs_), -1);
+    for (int o = 0; o < num_outputs_; ++o) {
+      std::uint32_t req = 0;
+      for (int i = 0; i < num_inputs_; ++i) {
+        if (requests[static_cast<std::size_t>(i)] & (1u << o)) req |= 1u << i;
+      }
+      output_winner[static_cast<std::size_t>(o)] =
+          output_arbiters_[static_cast<std::size_t>(o)].pick(req);
+    }
+    std::vector<int> grant(static_cast<std::size_t>(num_inputs_), -1);
+    for (int i = 0; i < num_inputs_; ++i) {
+      std::uint32_t won = 0;
+      for (int o = 0; o < num_outputs_; ++o) {
+        if (output_winner[static_cast<std::size_t>(o)] == i) won |= 1u << o;
+      }
+      grant[static_cast<std::size_t>(i)] =
+          input_arbiters_[static_cast<std::size_t>(i)].pick(won);
+    }
+    for (int i = 0; i < num_inputs_; ++i) {
+      const int o = grant[static_cast<std::size_t>(i)];
+      if (o >= 0) {
+        input_arbiters_[static_cast<std::size_t>(i)].grant(1u << o);
+        output_arbiters_[static_cast<std::size_t>(o)].grant(1u << i);
+      }
+    }
+    return grant;
+  }
+
+  void save(SnapshotWriter& w) const {
+    for (const RoundRobin& a : output_arbiters_) a.save(w);
+    for (const RoundRobin& a : input_arbiters_) a.save(w);
+  }
+
+ private:
+  int num_inputs_;
+  int num_outputs_;
+  std::vector<RoundRobin> output_arbiters_;
+  std::vector<RoundRobin> input_arbiters_;
+};
+
+/// Unified allocator with (class, age) struct keys and a won-output list.
+struct PriorityKey {
+  int klass;
+  std::uint64_t age;
+
+  [[nodiscard]] bool beats(const PriorityKey& o) const {
+    if (klass != o.klass) return klass < o.klass;
+    return age < o.age;
+  }
+};
+
+PriorityKey key_of(const UnifiedCandidate& c, bool is_incoming,
+                   bool incoming_priority) {
+  const bool favoured = c.elevated || (is_incoming == incoming_priority);
+  return {favoured ? 0 : 1, c.age};
+}
+
+UnifiedGrants unified(const std::array<UnifiedPortRequest, kNumPorts>& req,
+                      bool incoming_priority) {
+  UnifiedGrants result;
+  std::array<int, kNumPorts> output_winner;
+  output_winner.fill(-1);
+  for (int o = 0; o < kNumPorts; ++o) {
+    int best_port = -1;
+    PriorityKey best_key{2, ~std::uint64_t{0}};
+    for (int p = 0; p < kNumPorts; ++p) {
+      const UnifiedPortRequest& r = req[static_cast<std::size_t>(p)];
+      PriorityKey port_key{2, ~std::uint64_t{0}};
+      bool requests = false;
+      if (r.incoming.valid && (r.incoming.request_mask & (1u << o))) {
+        port_key = key_of(r.incoming, true, incoming_priority);
+        requests = true;
+      }
+      if (r.buffered.valid && (r.buffered.request_mask & (1u << o))) {
+        const PriorityKey k = key_of(r.buffered, false, incoming_priority);
+        if (!requests || k.beats(port_key)) port_key = k;
+        requests = true;
+      }
+      if (requests && (best_port < 0 || port_key.beats(best_key))) {
+        best_port = p;
+        best_key = port_key;
+      }
+    }
+    output_winner[static_cast<std::size_t>(o)] = best_port;
+  }
+
+  for (int p = 0; p < kNumPorts; ++p) {
+    const UnifiedPortRequest& r = req[static_cast<std::size_t>(p)];
+    SmallVec<int, kNumPorts> won;
+    for (int o = 0; o < kNumPorts; ++o) {
+      if (output_winner[static_cast<std::size_t>(o)] == p) won.push_back(o);
+    }
+    if (won.empty()) continue;
+    const std::uint32_t in_mask = r.incoming.valid ? r.incoming.request_mask : 0;
+    const std::uint32_t buf_mask = r.buffered.valid ? r.buffered.request_mask : 0;
+    const int o1 = won[0];
+    const int o2 = won.size() > 1 ? won[1] : -1;
+    auto legal = [](std::uint32_t mask, int o) {
+      return o >= 0 && (mask & (1u << o)) != 0;
+    };
+    const int direct = (legal(in_mask, o1) ? 1 : 0) + (legal(buf_mask, o2) ? 1 : 0);
+    const int swapped = (legal(in_mask, o2) ? 1 : 0) + (legal(buf_mask, o1) ? 1 : 0);
+    UnifiedPortGrant& g = result.port[static_cast<std::size_t>(p)];
+    if (swapped > direct) {
+      if (legal(in_mask, o2)) g.incoming_out = o2;
+      if (legal(buf_mask, o1)) g.buffered_out = o1;
+      if (o2 >= 0) ++result.swaps;
+    } else {
+      if (legal(in_mask, o1)) g.incoming_out = o1;
+      if (legal(buf_mask, o2)) g.buffered_out = o2;
+    }
+  }
+  return result;
+}
+
+}  // namespace ref
+
+TEST(AllocOracle, RoundRobinExhaustiveUpToEight) {
+  // Every (pointer, request) pair, with one stray bit above n that both
+  // implementations must ignore.
+  for (int n = 1; n <= 8; ++n) {
+    for (int ptr = 0; ptr < n; ++ptr) {
+      for (std::uint32_t req = 0; req < (1u << (n + 1)); ++req) {
+        RoundRobinArbiter arb(n);
+        ref::RoundRobin oracle(n);
+        if (ptr > 0) {
+          arb.grant(1u << (ptr - 1));
+          oracle.grant(1u << (ptr - 1));
+        }
+        ASSERT_EQ(arb.priority_pointer(), ptr);
+        ASSERT_EQ(arb.pick(req), oracle.pick(req)) << n << " " << ptr << " " << req;
+        ASSERT_EQ(arb.grant(req), oracle.grant(req)) << n << " " << ptr << " " << req;
+        ASSERT_EQ(arb.priority_pointer(), oracle.priority_pointer());
+      }
+    }
+  }
+}
+
+TEST(AllocOracle, RoundRobinRandomSequencesAllWidths) {
+  Rng rng(2024);
+  for (int n = 1; n <= 32; ++n) {
+    RoundRobinArbiter arb(n);
+    ref::RoundRobin oracle(n);
+    for (int step = 0; step < 20000; ++step) {
+      // Mix dense, sparse and empty request words.
+      std::uint32_t req = static_cast<std::uint32_t>(rng());
+      switch (rng.below(4)) {
+        case 0: req &= static_cast<std::uint32_t>(rng()); break;
+        case 1: req &= static_cast<std::uint32_t>(rng()) &
+                       static_cast<std::uint32_t>(rng()); break;
+        case 2: req = rng.bernoulli(0.5) ? 0 : 1u << rng.below(32); break;
+        default: break;
+      }
+      ASSERT_EQ(arb.pick(req), oracle.pick(req)) << n << " " << req;
+      if (rng.bernoulli(0.8)) {
+        ASSERT_EQ(arb.grant(req), oracle.grant(req)) << n << " " << req;
+      }
+      ASSERT_EQ(arb.priority_pointer(), oracle.priority_pointer());
+    }
+  }
+}
+
+TEST(AllocOracle, SeparableMatchesReferenceForEveryShape) {
+  Rng rng(31337);
+  for (int ni = 1; ni <= kNumPorts; ++ni) {
+    for (int no = 1; no <= kNumPorts; ++no) {
+      SeparableAllocator alloc(ni, no);
+      ref::Separable oracle(ni, no);
+      for (int step = 0; step < 5000; ++step) {
+        // Request words carry stray bits above `no`, which both ignore.
+        const double density = rng.uniform();
+        std::vector<std::uint32_t> req(static_cast<std::size_t>(ni));
+        for (auto& r : req) {
+          for (int o = 0; o < no + 1; ++o) {
+            if (rng.bernoulli(density)) r |= 1u << o;
+          }
+        }
+        const auto g = alloc.allocate(req);
+        const auto expect = oracle.allocate(req);
+        for (int i = 0; i < kNumPorts; ++i) {
+          ASSERT_EQ(g[static_cast<std::size_t>(i)],
+                    i < ni ? expect[static_cast<std::size_t>(i)] : -1)
+              << ni << "x" << no << " step " << step << " input " << i;
+        }
+        SnapshotWriter a, b;
+        alloc.save(a);
+        oracle.save(b);
+        ASSERT_EQ(a.data(), b.data()) << ni << "x" << no << " step " << step;
+      }
+    }
+  }
+}
+
+TEST(AllocOracle, UnifiedMatchesReference) {
+  Rng rng(4242);
+  for (int step = 0; step < 200000; ++step) {
+    // Narrow age ranges force equal ages inside and across ports.
+    const std::uint64_t age_range = step % 3 == 0 ? 2 : step % 3 == 1 ? 16 : 1u << 20;
+    const double valid = rng.uniform();
+    std::array<UnifiedPortRequest, kNumPorts> req{};
+    for (auto& p : req) {
+      for (UnifiedCandidate* c : {&p.incoming, &p.buffered}) {
+        // Invalid candidates keep a stale mask that both must ignore.
+        *c = {rng.bernoulli(valid), static_cast<std::uint32_t>(rng()) & 0x3F,
+              rng() % age_range, rng.bernoulli(0.2)};
+      }
+    }
+    for (bool prio : {true, false}) {
+      const UnifiedGrants g = UnifiedAllocator{}.allocate(req, prio);
+      const UnifiedGrants expect = ref::unified(req, prio);
+      ASSERT_EQ(g.swaps, expect.swaps) << "step " << step;
+      for (int p = 0; p < kNumPorts; ++p) {
+        const auto& a = g.port[static_cast<std::size_t>(p)];
+        const auto& b = expect.port[static_cast<std::size_t>(p)];
+        ASSERT_EQ(a.incoming_out, b.incoming_out) << "step " << step << " port " << p;
+        ASSERT_EQ(a.buffered_out, b.buffered_out) << "step " << step << " port " << p;
+      }
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 // deflection ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "common/rng.hpp"
 #include "routing/deflect.hpp"
 #include "routing/dor.hpp"
 #include "routing/routing_algorithm.hpp"
@@ -151,6 +155,71 @@ TEST(Deflect, RankingIsAPermutation) {
     std::array<bool, kNumLinkDirs> seen{};
     for (Direction d : r) seen[port_index(d)] = true;
     for (bool b : seen) EXPECT_TRUE(b);
+  }
+}
+
+// Reference formulation of deflection_ranking: link existence through
+// Mesh::has_link and a std::sort of the scored directions.
+std::array<Direction, kNumLinkDirs> reference_deflection_ranking(
+    const Mesh& mesh, NodeId cur, NodeId dst, std::uint64_t salt) {
+  const int dx = mesh.offset_x(cur, dst);
+  const int dy = mesh.offset_y(cur, dst);
+  struct Ranked {
+    Direction dir;
+    int score;
+  };
+  std::array<Ranked, kNumLinkDirs> ranked{};
+  int i = 0;
+  for (Direction dir : kLinkDirs) {
+    int score = 0;
+    if (!mesh.has_link(cur, dir)) {
+      score = -1000;
+    } else {
+      int progress = 0;
+      switch (dir) {
+        case Direction::East: progress = dx; break;
+        case Direction::West: progress = -dx; break;
+        case Direction::North: progress = dy; break;
+        case Direction::South: progress = -dy; break;
+        case Direction::Local: break;
+      }
+      if (progress > 0) {
+        score = 100 + progress;
+      } else if (progress < 0) {
+        score = -10;
+      }
+      score = score * 4 + static_cast<int>((salt >> (port_index(dir) * 2)) & 3);
+    }
+    ranked[i++] = {dir, score};
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) { return a.score > b.score; });
+  std::array<Direction, kNumLinkDirs> out{};
+  for (int k = 0; k < kNumLinkDirs; ++k) out[k] = ranked[k].dir;
+  return out;
+}
+
+// Every (cur, dst) pair and 64 salts, on meshes with and without wrap
+// links and on the thinnest legal meshes (Mesh needs both sides >= 2),
+// where one axis is all edge.
+TEST(Deflect, RankingMatchesSortReference) {
+  const std::array<Mesh, 4> meshes = {Mesh(8, 8), Mesh(4, 4, /*wrap=*/true),
+                                      Mesh(2, 8), Mesh(8, 2)};
+  Rng rng(8);
+  for (const Mesh& m : meshes) {
+    const auto n = static_cast<NodeId>(m.num_nodes());
+    for (NodeId cur = 0; cur < n; ++cur) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        for (int s = 0; s < 64; ++s) {
+          // Salt 0 ties every pair of equal-progress directions.
+          const std::uint64_t salt = s == 0 ? 0 : rng();
+          ASSERT_EQ(deflection_ranking(m, cur, dst, salt),
+                    reference_deflection_ranking(m, cur, dst, salt))
+              << m.width() << "x" << m.height() << (m.wraps() ? " torus" : "")
+              << " cur " << cur << " dst " << dst << " salt " << salt;
+        }
+      }
+    }
   }
 }
 
