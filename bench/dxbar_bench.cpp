@@ -16,7 +16,7 @@
 
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
-#include "sim/replica_batch.hpp"
+#include "sim/sweep.hpp"
 
 using namespace dxbar;
 using namespace dxbar::exp;
@@ -38,7 +38,7 @@ void print_usage(std::FILE* to) {
       "  --quick         ~4x shorter phase windows (smoke runs)\n"
       "  --threads N     worker threads (0 = hardware concurrency)\n"
       "  --seeds N       run every grid point N times with independent\n"
-      "                  measurement seeds (one shared warmup, lockstep\n"
+      "                  measurement seeds (one shared warmup, forked\n"
       "                  replicas); tables gain mean and ±ci95 columns\n"
       "  --csv DIR       mirror every table to DIR/<exp>_<title>.csv\n"
       "  --json DIR      write DIR/<exp>.json (schema v%d)\n"

@@ -1,15 +1,16 @@
-// Replica-batch throughput bench: wall time for K measure_seed
-// replicas of one simulation point, run serially (K full runs through
-// run_open_loop) versus through the replica engine (one shared warmup,
-// K lockstep measurement lanes via run_replica_sweep).
+// Replica throughput bench: wall time for K measure_seed replicas of
+// one simulation point, run serially (K full runs through
+// run_open_loop) versus through run_warm_sweep (one shared warmup,
+// then K forks of the warm snapshot, each finished by
+// finish_open_loop).
 //
-// The speedup is warmup amortization plus lockstep locality, so it is
-// meaningful even on a single-core host: with warmup W, window M and
-// K lanes the cycle count drops from K*(W+M) to W+K*M.  Because the
-// replica engine is required to be bit-exact (DESIGN.md §11), every
-// lane's full RunStats serialization must equal its serial twin's; the
-// bench checks that and fails hard on a mismatch, so the numbers can
-// never come from a run that silently diverged.
+// The speedup is warmup amortization, so it is meaningful even on a
+// single-core host: with warmup W, window M and K lanes the cycle
+// count drops from K*(W+M) to W+K*M.  Because the forks are required
+// to be bit-exact (DESIGN.md §11), every lane's full RunStats
+// serialization must equal its serial twin's; the bench checks that
+// and fails hard on a mismatch, so the numbers can never come from a
+// run that silently diverged.
 //
 // Usage:
 //   perf_batch [--quick] [--reps N] [--lanes K] [--out FILE]
@@ -30,7 +31,6 @@
 
 #include "common/rng.hpp"
 #include "core/dxbar.hpp"
-#include "sim/replica_batch.hpp"
 #include "snapshot/serialize.hpp"
 
 using namespace dxbar;
@@ -99,9 +99,6 @@ int main(int argc, char** argv) {
   }
   if (reps < 1) reps = 1;
   if (lanes < 2) lanes = 2;
-  if (lanes > static_cast<int>(Network::kMaxStepLanes)) {
-    lanes = static_cast<int>(Network::kMaxStepLanes);
-  }
   if (quick) {
     base.warmup_cycles = 600;
     base.measure_cycles = 200;
@@ -139,15 +136,15 @@ int main(int argc, char** argv) {
     if (r == 0) serial_stats = std::move(stats);
   }
 
-  // Replica engine: one warmup, K lockstep lanes, single-threaded.
+  // Shared warmup: one warmup, K forks, single-threaded.
   double batch_secs = 0.0;
   std::vector<RunStats> batch_stats;
-  ReplicaSweepReport report;
+  WarmSweepReport report;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    ReplicaSweepReport rep;
+    WarmSweepReport rep;
     std::vector<RunStats> stats =
-        run_replica_sweep(configs, /*threads=*/1, nullptr, &rep);
+        run_warm_sweep(configs, rep, /*threads=*/1);
     const double secs = seconds_since(t0);
     if (r == 0 || secs < batch_secs) batch_secs = secs;
     if (r == 0) {
@@ -167,12 +164,12 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(configs[i].measure_seed));
     }
   }
-  if (report.warm.groups.size() != 1 || report.warm.cold_points != 0) {
+  if (report.groups.size() != 1 || report.cold_points != 0) {
     identical = false;
     std::fprintf(stderr,
                  "MISMATCH: expected one shared-warmup group, got %zu "
                  "group(s) and %zu cold point(s)\n",
-                 report.warm.groups.size(), report.warm.cold_points);
+                 report.groups.size(), report.cold_points);
   }
 
   const double speedup = serial_secs / batch_secs;

@@ -17,7 +17,6 @@
 #include "common/text.hpp"
 #include "report/analysis.hpp"
 #include "sim/campaign.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/sweep.hpp"
 
 #ifndef DXBAR_GIT_DESCRIBE
@@ -131,9 +130,8 @@ std::vector<RunStats> sweep_warm(const std::string& exp_name,
                                  const std::vector<SimConfig>& configs,
                                  unsigned threads, WarmupCache* cache,
                                  std::size_t& groups_out) {
-  ReplicaSweepReport rep;
-  auto stats = run_replica_sweep(configs, threads, cache, &rep);
-  const WarmSweepReport& report = rep.warm;
+  WarmSweepReport report;
+  auto stats = run_warm_sweep(configs, report, threads, cache);
   groups_out = report.groups.size();
   if (!report.groups.empty()) {
     std::fprintf(stderr,
@@ -147,15 +145,11 @@ std::vector<RunStats> sweep_warm(const std::string& exp_name,
           exp_name.c_str(), g, report.groups[g].size(),
           group_signature(configs[report.groups[g].front()]).c_str());
     }
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: %zu lockstep batch(es), widest %zu "
-                 "lane(s)\n",
-                 exp_name.c_str(), rep.batches, rep.max_lanes);
   }
-  if (cache != nullptr && rep.cache_hits + rep.cache_misses > 0) {
+  if (cache != nullptr && report.cache_hits + report.cache_misses > 0) {
     std::fprintf(stderr,
                  "dxbar_bench: %s: warm cache: %zu hit(s), %zu miss(es)\n",
-                 exp_name.c_str(), rep.cache_hits, rep.cache_misses);
+                 exp_name.c_str(), report.cache_hits, report.cache_misses);
   }
   return stats;
 }
@@ -393,7 +387,7 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
     unsigned long long cycles = 0;
     double sec = 0.0;
     for (const SimConfig& c : cfgs) {
-      // Replicas share one warmup (replica engine), so --seeds N costs
+      // Replicas share one warmup (run_warm_sweep), so --seeds N costs
       // one warmup plus N measurement windows per point.
       const unsigned long long pt =
           c.warmup_cycles + seeds * c.measure_cycles;
@@ -570,8 +564,8 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
     const int seeds = std::max(1, opt.seeds);
     // Rep-major expansion: [rep0: all points][rep1: all points]... so
     // each replica slice is structurally identical to the base grid and
-    // can be fed to the reducer unchanged.  The replica engine groups
-    // the copies of each point into one shared-warmup lockstep batch.
+    // can be fed to the reducer unchanged.  run_warm_sweep groups the
+    // copies of each point into one shared warmup and forks each copy.
     std::vector<SimConfig> configs = base_grid;
     if (seeds > 1) {
       configs.reserve(base_grid.size() * static_cast<std::size_t>(seeds));

@@ -23,7 +23,7 @@
 #include "report/result_io.hpp"
 
 namespace dxbar {
-class WarmupCache;  // sim/replica_batch.hpp
+class WarmupCache;  // sim/sweep.hpp
 }
 
 namespace dxbar::exp {
@@ -64,7 +64,7 @@ struct RunOptions {
   /// Measurement replicas per grid point.  With N > 1 every grid is
   /// expanded rep-major (replica 0 keeps each config untouched; replica
   /// r > 0 derives an independent nonzero measure_seed), the replicas
-  /// share warmups through the replica engine, and the reduced tables
+  /// share warmups through run_warm_sweep, and the reduced tables
   /// report per-cell means plus appended "<series> ±ci95" columns.
   int seeds = 1;
   /// Session-wide warm-snapshot cache (optional).  When set, warm

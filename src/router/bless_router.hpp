@@ -23,13 +23,6 @@ class BlessRouter final : public Router {
   /// Bufferless: nothing is ever resident between cycles.
   [[nodiscard]] int occupancy() const override { return 0; }
 
-  /// Batched lockstep entry point (see DXbarRouter::step_batch): same
-  /// node across K replica lanes, devirtualized through the final class.
-  static void step_batch(BlessRouter* const* lanes, const Cycle* nows,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) lanes[i]->step(nows[i]);
-  }
-
  private:
   int degree_;  ///< number of existing links at this router
 };

@@ -74,12 +74,6 @@ class DamqRouter final : public Router {
     return outstanding_[static_cast<std::size_t>(d)];
   }
 
-  /// Batched lockstep entry point (see DXbarRouter::step_batch).
-  static void step_batch(DamqRouter* const* lanes, const Cycle* nows,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) lanes[i]->step(nows[i]);
-  }
-
   /// Credits an upstream may hold at once: enough to cover the
   /// grant-post + link round trip (credit usable next cycle, flit lands
   /// two cycles after the send) so a granted stream never stalls on

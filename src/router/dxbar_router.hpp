@@ -51,18 +51,6 @@ class DXbarRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
-  /// Batched lockstep entry point: steps the same mesh node's router
-  /// across K replica lanes back to back (Network::step_lanes).  Lanes
-  /// are whole independent networks, so this changes execution order
-  /// only, never results; the win is locality — the design's switch
-  /// allocation code and this node's branch history stay hot across K
-  /// correlated invocations instead of being revisited once per
-  /// full-mesh sweep.  The class is final, so the calls devirtualize.
-  static void step_batch(DXbarRouter* const* lanes, const Cycle* nows,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) lanes[i]->step(nows[i]);
-  }
-
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] int buffer_size(Direction d) const {
     return static_cast<int>(buffers_[port_index(d)].size());

@@ -1,11 +1,13 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 
 #include "sim/network.hpp"
+#include "sim/sim_runner.hpp"
 #include "snapshot/serialize.hpp"
 #include "traffic/traffic_gen.hpp"
 #include "workload/factory.hpp"
@@ -53,6 +55,17 @@ std::uint64_t le64_at(const std::vector<std::uint8_t>& b, std::size_t pos) {
          << (8 * i);
   }
   return v;
+}
+
+/// The campaign cursor stored in a checkpoint, derived from the clock:
+/// stage 1 once the point has stepped past the measurement window, and
+/// the drain cycles taken so far.
+std::uint8_t stage_at(Cycle now, Cycle measure_end) {
+  return now > measure_end ? 1 : 0;
+}
+
+Cycle drain_at(Cycle now, Cycle measure_end) {
+  return now > measure_end ? now - measure_end : 0;
 }
 
 }  // namespace
@@ -121,14 +134,15 @@ void Campaign::append_result(std::size_t point, const RunStats& stats) {
   out.flush();
 }
 
-void Campaign::write_checkpoint(std::size_t point, std::uint8_t stage,
-                                Cycle drain_t, const Network& net,
+void Campaign::write_checkpoint(std::size_t point, const Network& net,
                                 const WorkloadModel& workload) const {
+  const Cycle measure_end =
+      points_[point].warmup_cycles + points_[point].measure_cycles;
   SnapshotWriter w;
   w.begin_section(kSecCampaign);
   w.u32(static_cast<std::uint32_t>(point));
-  w.u8(stage);
-  w.u64(drain_t);
+  w.u8(stage_at(net.now(), measure_end));
+  w.u64(drain_at(net.now(), measure_end));
   w.u64(fingerprint_);
   w.end_section();
   net.save(w);
@@ -166,13 +180,12 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     if (results_[i].has_value()) continue;
     const SimConfig& cfg = points_[i];
+    const Cycle measure_end = cfg.warmup_cycles + cfg.measure_cycles;
 
     auto net = std::make_unique<Network>(cfg);
     auto workload = make_workload(cfg, net->mesh());
     net->set_workload(workload.get());
 
-    std::uint8_t stage = 0;
-    Cycle drain_t = 0;
     if (!checkpoint.empty()) {
       const std::vector<std::uint8_t> bytes = std::move(checkpoint);
       checkpoint.clear();
@@ -180,75 +193,46 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
         SnapshotReader r(bytes);
         (void)r.expect_section(kSecCampaign);
         const std::uint32_t point = r.u32();
-        const std::uint8_t st = r.u8();
-        const Cycle dt = r.u64();
+        const std::uint8_t stage = r.u8();
+        const Cycle drain_t = r.u64();
         const std::uint64_t fp = r.u64();
         if (fp == fingerprint_ && point == i) {
           net->load(r);
           (void)r.expect_section(kSecWorkload);
           workload->load_state(r);
-          stage = st;
-          drain_t = dt;
+          // The run position is the restored clock; the cursor fields
+          // must agree with it.
+          if (stage != stage_at(net->now(), measure_end) ||
+              drain_t != drain_at(net->now(), measure_end)) {
+            throw SnapshotError("campaign cursor disagrees with the clock");
+          }
         }
       } catch (const SnapshotError&) {
-        // Corrupt or foreign checkpoint: restart the point cold.  load()
-        // may have partially mutated the network, so rebuild it.
+        // Corrupt, foreign or inconsistent checkpoint: restart the point
+        // cold.  load() may have partially mutated the network, so
+        // rebuild it.
         net = std::make_unique<Network>(cfg);
         workload = make_workload(cfg, net->mesh());
         net->set_workload(workload.get());
-        stage = 0;
-        drain_t = 0;
       }
     }
 
-    const Cycle warmup = cfg.warmup_cycles;
-    const Cycle measure_end = warmup + cfg.measure_cycles;
+    // Step in slices that end at the next checkpoint or the budget.
     Cycle since_checkpoint = 0;
-
-    if (stage == 0) {
-      net->energy().set_enabled(net->now() >= warmup &&
-                                net->now() < measure_end);
-      while (net->now() < measure_end) {
-        if (cycle_budget != 0 && stepped >= cycle_budget) return status();
-        if (net->now() == warmup) net->energy().set_enabled(true);
-        net->step();
-        ++stepped;
-        if (++since_checkpoint >= checkpoint_interval_) {
-          write_checkpoint(i, 0, 0, *net, *workload);
-          since_checkpoint = 0;
-        }
-      }
+    for (;;) {
+      std::uint64_t slice = checkpoint_interval_ - since_checkpoint;
+      if (cycle_budget != 0) slice = std::min(slice, cycle_budget - stepped);
+      const Cycle before = net->now();
+      const bool done = step_open_loop(*net, *workload, slice);
+      stepped += net->now() - before;
+      since_checkpoint += net->now() - before;
+      if (done) break;
+      if (since_checkpoint < checkpoint_interval_) return status();
+      write_checkpoint(i, *net, *workload);
+      since_checkpoint = 0;
     }
 
-    net->energy().set_enabled(false);
-    workload->set_injection_enabled(false);
-
-    bool drained = false;
-    while (drain_t < cfg.drain_cycles) {
-      if (net->idle() && workload->quiescent()) {
-        drained = true;
-        break;
-      }
-      if (cycle_budget != 0 && stepped >= cycle_budget) return status();
-      net->step();
-      ++drain_t;
-      ++stepped;
-      if (++since_checkpoint >= checkpoint_interval_) {
-        write_checkpoint(i, 1, drain_t, *net, *workload);
-        since_checkpoint = 0;
-      }
-    }
-    drained = drained || (net->idle() && workload->quiescent());
-
-    RunStats out = net->stats().summarize(cfg.offered_load, drained);
-    out.packet_length = cfg.packet_length;
-    out.energy_buffer_nj = net->energy().buffer_nj();
-    out.energy_crossbar_nj = net->energy().crossbar_nj();
-    out.energy_link_nj = net->energy().link_nj();
-    out.energy_control_nj = net->energy().control_nj();
-    out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
-    workload->fill_run_stats(out);
-
+    const RunStats out = summarize_open_loop(*net, *workload);
     // Persist the result BEFORE dropping the checkpoint: a crash between
     // the two leaves a stale checkpoint for a completed point, which the
     // next run detects (point != first pending) and discards.

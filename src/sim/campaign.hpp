@@ -64,8 +64,7 @@ class Campaign {
 
   void load_results();
   void append_result(std::size_t point, const RunStats& stats);
-  void write_checkpoint(std::size_t point, std::uint8_t stage, Cycle drain_t,
-                        const class Network& net,
+  void write_checkpoint(std::size_t point, const class Network& net,
                         const class WorkloadModel& workload) const;
 
   std::vector<SimConfig> points_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "router/afc_router.hpp"
 #include "router/bless_router.hpp"
@@ -419,125 +418,6 @@ void Network::step() {
   handle_ejections();
 
   ++now_;
-}
-
-namespace {
-
-/// Node-major batched router phase across K lanes: node 0 in every
-/// lane, then node 1, ...  Same per-lane work as step_routers_shard on
-/// a single shard, only the interleaving differs (lanes are disjoint
-/// networks, so any interleaving computes the same per-lane result).
-template <typename ConcreteRouter>
-void step_routers_node_major(std::unique_ptr<Router>* const* routers,
-                             const Cycle* nows, std::size_t lanes,
-                             NodeId num_nodes) {
-  ConcreteRouter* batch[Network::kMaxStepLanes];
-  for (NodeId node = 0; node < num_nodes; ++node) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      batch[l] = static_cast<ConcreteRouter*>(routers[l][node].get());
-    }
-    ConcreteRouter::step_batch(batch, nows, lanes);
-  }
-}
-
-/// Fallback for designs without a batched entry point: still node-major
-/// for locality, but through the virtual interface.
-void step_routers_node_major_virtual(std::unique_ptr<Router>* const* routers,
-                                     const Cycle* nows, std::size_t lanes,
-                                     NodeId num_nodes) {
-  for (NodeId node = 0; node < num_nodes; ++node) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      routers[l][node]->step(nows[l]);
-    }
-  }
-}
-
-}  // namespace
-
-void Network::step_lanes(Network* const* lanes, std::size_t n) {
-  if (n == 0) return;
-  if (n > kMaxStepLanes) {
-    throw std::invalid_argument("step_lanes: too many lanes");
-  }
-  const Network& first = *lanes[0];
-  for (std::size_t l = 0; l < n; ++l) {
-    const Network& lane = *lanes[l];
-    if (lane.part_.shards() != 1) {
-      throw std::invalid_argument(
-          "step_lanes: lanes must be single-sharded (shards == 1); "
-          "sharded execution and replica batching do not compose — run "
-          "sharded configs serially");
-    }
-    if (lane.tracer_ != nullptr) {
-      throw std::invalid_argument("step_lanes: lanes cannot carry tracers");
-    }
-    if (lane.cfg_.design != first.cfg_.design ||
-        lane.mesh_.width() != first.mesh_.width() ||
-        lane.mesh_.height() != first.mesh_.height()) {
-      throw std::invalid_argument(
-          "step_lanes: lanes must share one design and mesh shape");
-    }
-  }
-
-  // The five phases of step(), interleaved across lanes.  Every lane
-  // passes through its phases in the same order as a solo step(); lanes
-  // share no state, so the cross-lane interleaving is unobservable.
-
-  // 1. Links move; arrivals land in input registers.
-  for (std::size_t l = 0; l < n; ++l) lanes[l]->sweep_channels(0);
-
-  // 2. SCARAB control.
-  if (first.cfg_.design == RouterDesign::Scarab) {
-    for (std::size_t l = 0; l < n; ++l) {
-      lanes[l]->scarab_deliver_nacks();
-      lanes[l]->scarab_release_staging();
-    }
-  }
-
-  // 3. Workloads inject.
-  for (std::size_t l = 0; l < n; ++l) {
-    Network& lane = *lanes[l];
-    if (lane.workload_ != nullptr) {
-      lane.workload_->begin_cycle(lane.now_, lane);
-    }
-  }
-
-  // 4. Routers switch, node-major across lanes.
-  std::unique_ptr<Router>* routers[kMaxStepLanes];
-  Cycle nows[kMaxStepLanes];
-  for (std::size_t l = 0; l < n; ++l) {
-    routers[l] = lanes[l]->routers_.data();
-    nows[l] = lanes[l]->now_;
-  }
-  const NodeId num_nodes = static_cast<NodeId>(first.mesh_.num_nodes());
-  switch (first.cfg_.design) {
-    case RouterDesign::FlitBless:
-      step_routers_node_major<BlessRouter>(routers, nows, n, num_nodes);
-      break;
-    case RouterDesign::Buffered4:
-    case RouterDesign::Buffered8:
-      step_routers_node_major<BufferedRouter>(routers, nows, n, num_nodes);
-      break;
-    case RouterDesign::DXbar:
-      step_routers_node_major<DXbarRouter>(routers, nows, n, num_nodes);
-      break;
-    case RouterDesign::Damq:
-      step_routers_node_major<DamqRouter>(routers, nows, n, num_nodes);
-      break;
-    case RouterDesign::MinBD:
-      step_routers_node_major<MinBDRouter>(routers, nows, n, num_nodes);
-      break;
-    default:
-      step_routers_node_major_virtual(routers, nows, n, num_nodes);
-      break;
-  }
-
-  // 5. Fold staged effects, ejections, reassembly; clocks tick.
-  for (std::size_t l = 0; l < n; ++l) {
-    lanes[l]->commit_shard_effects();
-    lanes[l]->handle_ejections();
-    ++lanes[l]->now_;
-  }
 }
 
 std::vector<Network::LinkUsage> Network::link_usage() const {

@@ -1,5 +1,7 @@
 #include "sim/sim_runner.hpp"
 
+#include <algorithm>
+
 #include "workload/factory.hpp"
 
 namespace dxbar {
@@ -20,24 +22,36 @@ void advance_open_loop(Network& net, Cycle until) {
   }
 }
 
-RunStats finish_open_loop(Network& net, WorkloadModel& workload,
-                          std::vector<PacketRecord>* packets_out) {
+bool step_open_loop(Network& net, WorkloadModel& workload,
+                    std::uint64_t max_steps) {
   const SimConfig& cfg = net.config();
-  advance_open_loop(net, cfg.warmup_cycles + cfg.measure_cycles);
+  const Cycle measure_end = cfg.warmup_cycles + cfg.measure_cycles;
+  if (net.now() < measure_end) {
+    const Cycle start = net.now();
+    advance_open_loop(net, start + std::min<std::uint64_t>(
+                                       max_steps, measure_end - start));
+    max_steps -= net.now() - start;
+    if (net.now() < measure_end) return false;
+  }
+
+  // Drain: injection and energy off, then step until nothing is in
+  // flight or the cap is reached.  The drain position is the clock
+  // (now - measure_end), so a network restored mid-drain resumes here.
   net.energy().set_enabled(false);
   workload.set_injection_enabled(false);
-
-  bool drained = false;
-  for (Cycle t = 0; t < cfg.drain_cycles; ++t) {
-    if (net.idle() && workload.quiescent()) {
-      drained = true;
-      break;
-    }
+  while (!(net.idle() && workload.quiescent()) &&
+         net.now() - measure_end < cfg.drain_cycles) {
+    if (max_steps == 0) return false;
     net.step();
+    --max_steps;
   }
-  drained = drained || (net.idle() && workload.quiescent());
+  return true;
+}
 
-  RunStats out = net.stats().summarize(cfg.offered_load, drained);
+RunStats summarize_open_loop(Network& net, const WorkloadModel& workload) {
+  const SimConfig& cfg = net.config();
+  RunStats out = net.stats().summarize(cfg.offered_load,
+                                       net.idle() && workload.quiescent());
   out.packet_length = cfg.packet_length;
   out.energy_buffer_nj = net.energy().buffer_nj();
   out.energy_crossbar_nj = net.energy().crossbar_nj();
@@ -45,6 +59,13 @@ RunStats finish_open_loop(Network& net, WorkloadModel& workload,
   out.energy_control_nj = net.energy().control_nj();
   out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
   workload.fill_run_stats(out);
+  return out;
+}
+
+RunStats finish_open_loop(Network& net, WorkloadModel& workload,
+                          std::vector<PacketRecord>* packets_out) {
+  step_open_loop(net, workload);
+  RunStats out = summarize_open_loop(net, workload);
   if (packets_out != nullptr) *packets_out = net.stats().window_packets();
   return out;
 }

@@ -3,6 +3,8 @@
 // substitute.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "common/config.hpp"
@@ -32,12 +34,29 @@ RunStats run_open_loop(const SimConfig& cfg, WorkloadModel& workload);
 /// sweeps and resumable campaigns.
 void advance_open_loop(Network& net, Cycle until);
 
+/// The open-loop stepper behind run_open_loop, finish_open_loop, the
+/// warm-sweep forks and Campaign: advances `net` (with `workload`
+/// attached) through the rest of the run — measurement window, then the
+/// drain with injection and energy off — stepping at most `max_steps`
+/// cycles.  Returns true once the run is complete: the network is idle
+/// and the workload quiescent, or the clock has reached
+/// warmup + measure + drain_cycles.  Every phase decision derives from
+/// the clock (the drain position is now - measure_end), so a network
+/// restored at any cycle resumes exactly where the straight run was.
+bool step_open_loop(Network& net, WorkloadModel& workload,
+                    std::uint64_t max_steps =
+                        std::numeric_limits<std::uint64_t>::max());
+
+/// The RunStats of a completed open-loop run (see step_open_loop):
+/// window statistics, measurement-window energy, leakage and the
+/// workload's own fields.  `drained` is the idle/quiescent state now.
+RunStats summarize_open_loop(Network& net, const WorkloadModel& workload);
+
 /// Completes an open-loop run from the network's current cycle:
-/// advances to the end of the measurement window, disables energy and
-/// injection, drains (up to cfg.drain_cycles), and summarizes.
-/// `workload` must be the workload attached to `net`.  Equivalent to
-/// the tail of run_open_loop, so a warmup snapshot + finish_open_loop
-/// is bit-identical to a cold run.
+/// step_open_loop to the end, then summarize_open_loop.  `workload`
+/// must be the workload attached to `net`.  Equivalent to the tail of
+/// run_open_loop, so a warmup snapshot + finish_open_loop is
+/// bit-identical to a cold run.
 RunStats finish_open_loop(Network& net, WorkloadModel& workload,
                           std::vector<PacketRecord>* packets_out = nullptr);
 

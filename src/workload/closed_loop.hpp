@@ -31,7 +31,7 @@
 // The model is windowed exactly like the open-loop workloads (warmup /
 // measure / drain; only requests issued inside the measurement window
 // are recorded), so it composes unchanged with warm-start sweeps,
-// lockstep replica batches (--seeds), campaigns (--resume), sharding,
+// shared-warmup replica forks (--seeds), campaigns (--resume), sharding,
 // and snapshot/restore.
 #pragma once
 

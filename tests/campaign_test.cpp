@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,104 @@ TEST(Campaign, CheckpointFromDifferentCampaignIsIgnored) {
   Campaign reference(other_points, scratch_dir("foreign_ref"), 100);
   ASSERT_TRUE(reference.run().finished);
   expect_same_results(other, reference);
+}
+
+// The checkpoint's campaign cursor — CAMP section: point u32, stage u8
+// (1 once the point has stepped past its measurement window), drain_t
+// u64 (drain cycles taken) — sits right after the 8-byte stream header
+// and the 12-byte section header.
+constexpr std::size_t kCursorPoint = 8 + 12;
+constexpr std::size_t kCursorStage = kCursorPoint + 4;
+constexpr std::size_t kCursorDrain = kCursorStage + 1;
+
+std::vector<std::uint8_t> read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+std::uint64_t cursor_drain(const std::vector<std::uint8_t>& b) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(b[kCursorDrain + i]) << (8 * i);
+  }
+  return v;
+}
+
+/// One saturated point: its drain runs for hundreds of cycles, so a
+/// budget pause can land mid-drain with flits still in flight.
+std::vector<SimConfig> saturated_point() {
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.design = RouterDesign::DXbar;
+  cfg.pattern = TrafficPattern::UniformRandom;
+  cfg.offered_load = 1.0;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 400;
+  cfg.drain_cycles = 5000;
+  return {cfg};
+}
+
+/// Pauses a campaign over `points` after `budget` cycles (interval 100),
+/// lets `patch` rewrite the checkpoint, resumes with a fresh instance
+/// and requires the uninterrupted reference results.
+template <typename Patch>
+void expect_patched_checkpoint_resumes_exactly(
+    const std::vector<SimConfig>& points, std::uint64_t budget,
+    const std::string& name, Patch patch) {
+  const std::string dir = scratch_dir(name);
+  {
+    Campaign campaign(points, dir, 100);
+    ASSERT_FALSE(campaign.run(budget).finished);
+  }
+  const fs::path ckpt = fs::path(dir) / "checkpoint.bin";
+  ASSERT_TRUE(fs::exists(ckpt));
+  std::vector<std::uint8_t> bytes = read_bytes(ckpt);
+  ASSERT_GT(bytes.size(), kCursorDrain + 8);
+  patch(bytes);
+  write_bytes(ckpt, bytes);
+
+  Campaign resumed(points, dir, 100);
+  ASSERT_TRUE(resumed.run().finished);
+  Campaign reference(points, scratch_dir(name + "_ref"), 100);
+  ASSERT_TRUE(reference.run().finished);
+  expect_same_results(resumed, reference);
+}
+
+TEST(Campaign, MidMeasurementCheckpointClaimingDrainRestartsCold) {
+  // Paused at cycle 250: the checkpoint is from cycle 200, inside the
+  // measurement window (warmup 100 + measure 400).  A stage byte of 1
+  // contradicts the restored clock, so the point must restart cold
+  // instead of skipping the rest of its measurement.
+  expect_patched_checkpoint_resumes_exactly(
+      saturated_point(), 250, "stage_lie", [](std::vector<std::uint8_t>& b) {
+        ASSERT_EQ(b[kCursorStage], 0u);
+        b[kCursorStage] = 1;
+      });
+}
+
+TEST(Campaign, MidDrainCheckpointClaimingFullDrainRestartsCold) {
+  // Paused at cycle 650: the checkpoint is from cycle 600, 100 cycles
+  // into the drain of a saturated network.  A drain_t equal to the
+  // drain cap contradicts the restored clock, so the point must restart
+  // cold instead of ending the drain with flits still in flight.
+  const std::vector<SimConfig> points = saturated_point();
+  expect_patched_checkpoint_resumes_exactly(
+      points, 650, "drain_lie", [&](std::vector<std::uint8_t>& b) {
+        ASSERT_EQ(b[kCursorStage], 1u);
+        ASSERT_EQ(cursor_drain(b), 100u);
+        const Cycle cap = points[0].drain_cycles;
+        for (std::size_t i = 0; i < 8; ++i) {
+          b[kCursorDrain + i] = static_cast<std::uint8_t>(cap >> (8 * i));
+        }
+      });
 }
 
 }  // namespace

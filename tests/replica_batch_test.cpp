@@ -1,22 +1,23 @@
-// The replica engine's contract: batching K simulations into lockstep
-// lanes — cold or forked from one shared warm snapshot — changes
-// execution order and memory locality, never results.  Every test here
-// compares against plain run_open_loop on the same configs, field- or
-// byte-exactly, across router designs (devirtualized batched stepping
-// for DXbar/Bless/Buffered, virtual fallback elsewhere, the Scarab
-// NACK network included) and fault plans.
+// The shared-warmup replica contract: K simulations forked from one
+// warm snapshot — a fresh network and workload restored from it, then
+// finish_open_loop — reproduce their cold runs exactly.  Every test
+// here compares run_warm_sweep (or a hand-restored fork) against plain
+// run_open_loop / run_sweep on the same configs, byte-exactly, across
+// router designs (the Scarab NACK network included) and fault plans,
+// and checks the grouping so the fork path, not the cold fallback, is
+// what gets compared.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/serialize.hpp"
 #include "snapshot/snapshot.hpp"
 #include "traffic/traffic_gen.hpp"
+#include "workload/factory.hpp"
 
 namespace dxbar {
 namespace {
@@ -59,52 +60,54 @@ SimConfig small_cfg(RouterDesign design) {
   return cfg;
 }
 
-/// Runs `configs` both ways — one ReplicaBatch (cold, from cycle 0)
-/// and K solo run_open_loop_detailed calls — and requires bit-equal
-/// RunStats and packet records per lane.
-void expect_batch_matches_serial(const std::vector<SimConfig>& configs) {
-  ReplicaBatch batch{configs};
-  batch.run();
+/// Runs `configs` through run_warm_sweep on two threads and through
+/// cold run_sweep, and requires byte-equal RunStats per config.  Every
+/// config must fork from one of `groups` shared warmups (none runs
+/// cold), so the comparison exercises the fork path.
+void expect_forks_match_serial(const std::vector<SimConfig>& configs,
+                               std::size_t groups) {
+  WarmSweepReport report;
+  const std::vector<RunStats> forked = run_warm_sweep(configs, report, 2);
+  EXPECT_EQ(report.cold_points, 0u);
+  EXPECT_EQ(report.groups.size(), groups);
+  const std::vector<RunStats> serial = run_sweep(configs, 1);
+  ASSERT_EQ(forked.size(), serial.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE("lane " + std::to_string(i));
-    const DetailedRun solo = run_open_loop_detailed(configs[i]);
-    EXPECT_EQ(stats_bytes(batch.stats(i)), stats_bytes(solo.stats));
-    expect_packets_identical(batch.packets(i), solo.packets);
+    EXPECT_EQ(stats_bytes(forked[i]), stats_bytes(serial[i]));
   }
 }
 
-// --- batch vs serial bit-exactness -------------------------------------
+// --- forks vs serial bit-exactness -------------------------------------
 
 class BatchDesignTest : public ::testing::TestWithParam<RouterDesign> {};
 
 TEST_P(BatchDesignTest, TwoSeedLanesMatchSerial) {
   std::vector<SimConfig> configs(2, small_cfg(GetParam()));
   configs[1].measure_seed = 0xDEADBEEFULL;
-  expect_batch_matches_serial(configs);
+  expect_forks_match_serial(configs, 1);
 }
 
 TEST_P(BatchDesignTest, EightMixedLanesMatchSerial) {
   // Lanes diverge in measurement seed AND offered load, so they finish
-  // their drains at different cycles and drop out of the lockstep set
-  // at different times.
+  // their drains at different cycles.  The pinned warmup_load makes the
+  // warmup load-independent, so all eight share one.
   std::vector<SimConfig> configs(8, small_cfg(GetParam()));
   for (std::size_t i = 0; i < configs.size(); ++i) {
     configs[i].measure_seed = i == 0 ? 0 : 1000 + 77 * i;
     configs[i].offered_load = 0.10 + 0.05 * static_cast<double>(i % 4);
+    configs[i].warmup_load = 0.15;
   }
-  expect_batch_matches_serial(configs);
+  expect_forks_match_serial(configs, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Designs, BatchDesignTest,
-    ::testing::Values(RouterDesign::DXbar,        // batched step_batch
-                      RouterDesign::FlitBless,    // batched step_batch
-                      RouterDesign::Buffered4,    // batched step_batch
-                      RouterDesign::Scarab,       // NACK net, virtual path
-                      RouterDesign::UnifiedXbar,  // virtual fallback
-                      RouterDesign::Afc,          // virtual fallback
-                      RouterDesign::Damq,         // batched step_batch
-                      RouterDesign::MinBD),       // batched step_batch
+    ::testing::Values(RouterDesign::DXbar, RouterDesign::FlitBless,
+                      RouterDesign::Buffered4,
+                      RouterDesign::Scarab,  // NACK network state
+                      RouterDesign::UnifiedXbar, RouterDesign::Afc,
+                      RouterDesign::Damq, RouterDesign::MinBD),
     [](const ::testing::TestParamInfo<RouterDesign>& info) {
       std::string name(to_string(info.param));
       for (char& c : name) {
@@ -123,13 +126,15 @@ TEST(ReplicaBatchTest, FaultPlanLanesMatchSerial) {
       configs[i].fault_onset_spread = 300;
       configs[i].measure_seed = 31 * i;
     }
-    expect_batch_matches_serial(configs);
+    expect_forks_match_serial(configs, 1);
   }
 }
 
 TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
   // Deterministic fuzz: random design / lane count / per-lane loads and
-  // seeds, always checked against the serial twin.
+  // seeds, always checked against the serial twin.  The pinned
+  // warmup_load lets lanes with equal seeds share a warmup whatever
+  // their loads; every distinct seed is one group.
   constexpr RouterDesign kDesigns[] = {
       RouterDesign::DXbar, RouterDesign::FlitBless, RouterDesign::Buffered8,
       RouterDesign::Scarab, RouterDesign::BufferedVC};
@@ -139,6 +144,7 @@ TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
     const RouterDesign design = kDesigns[rng.next() % std::size(kDesigns)];
     const std::size_t lanes = 2 + rng.next() % 5;
     std::vector<SimConfig> configs;
+    std::set<std::uint64_t> seeds;
     for (std::size_t i = 0; i < lanes; ++i) {
       SimConfig cfg = small_cfg(design);
       cfg.measure_cycles = 400;
@@ -146,9 +152,11 @@ TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
       cfg.measure_seed = rng.next() % 3 == 0 ? 0 : rng.next();
       cfg.offered_load =
           0.05 + 0.01 * static_cast<double>(rng.next() % 30);
+      cfg.warmup_load = 0.1;
       configs.push_back(cfg);
+      seeds.insert(cfg.seed);
     }
-    expect_batch_matches_serial(configs);
+    expect_forks_match_serial(configs, seeds.size());
   }
 }
 
@@ -157,33 +165,50 @@ TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
 TEST(ReplicaBatchTest, WarmForkedLanesMatchColdSerialRuns) {
   // One warmup execution, snapshotted; K measure_seed replicas forked
   // from it must equal the cold straight-through run of each replica
-  // config.  This is the claim that makes `--seeds N` free: the reseed
-  // sits after the snapshot point.
-  const SimConfig base = small_cfg(RouterDesign::DXbar);
-  std::vector<SimConfig> configs(4, base);
-  for (std::size_t i = 1; i < configs.size(); ++i) {
-    configs[i].measure_seed = 0x9E37 + i;
-  }
+  // config, packet records included.  This is the claim that makes
+  // `--seeds N` free: the reseed sits after the snapshot point.
+  constexpr RouterDesign kAllDesigns[] = {
+      RouterDesign::FlitBless,  RouterDesign::Scarab,
+      RouterDesign::Buffered4,  RouterDesign::Buffered8,
+      RouterDesign::DXbar,      RouterDesign::UnifiedXbar,
+      RouterDesign::BufferedVC, RouterDesign::Afc,
+      RouterDesign::Damq,       RouterDesign::MinBD,
+  };
+  for (const RouterDesign design : kAllDesigns) {
+    SCOPED_TRACE(std::string(to_string(design)));
+    const SimConfig base = small_cfg(design);
+    std::vector<SimConfig> configs(4, base);
+    for (std::size_t i = 1; i < configs.size(); ++i) {
+      configs[i].measure_seed = 0x9E37 + i;
+    }
 
-  Network warm_net(base);
-  SyntheticWorkload warm_wl(base, warm_net.mesh());
-  warm_net.set_workload(&warm_wl);
-  advance_open_loop(warm_net, base.warmup_cycles);
-  SnapshotWriter w;
-  warm_net.save(w);
-  w.begin_section(kSecWorkload);
-  warm_wl.save_state(w);
-  w.end_section();
-  const std::vector<std::uint8_t> snap = w.take();
+    Network warm_net(base);
+    SyntheticWorkload warm_wl(base, warm_net.mesh());
+    warm_net.set_workload(&warm_wl);
+    advance_open_loop(warm_net, base.warmup_cycles);
+    SnapshotWriter w;
+    warm_net.save(w);
+    w.begin_section(kSecWorkload);
+    warm_wl.save_state(w);
+    w.end_section();
+    const std::vector<std::uint8_t> snap = w.take();
 
-  ReplicaBatch batch{configs};
-  batch.warm_start(snap);
-  batch.run();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    const DetailedRun cold = run_open_loop_detailed(configs[i]);
-    EXPECT_EQ(stats_bytes(batch.stats(i)), stats_bytes(cold.stats));
-    expect_packets_identical(batch.packets(i), cold.packets);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE("lane " + std::to_string(i));
+      Network net(configs[i]);
+      const auto wl = make_workload(configs[i], net.mesh());
+      net.set_workload(wl.get());
+      SnapshotReader r(snap);
+      net.load(r);
+      (void)r.expect_section(kSecWorkload);
+      wl->load_state(r);
+      std::vector<PacketRecord> packets;
+      const RunStats forked = finish_open_loop(net, *wl, &packets);
+
+      const DetailedRun cold = run_open_loop_detailed(configs[i]);
+      EXPECT_EQ(stats_bytes(forked), stats_bytes(cold.stats));
+      expect_packets_identical(packets, cold.packets);
+    }
   }
 }
 
@@ -210,40 +235,25 @@ TEST(ReplicaBatchTest, MeasureSeedSurvivesConfigSnapshotRoundtrip) {
 
 // --- composition limits ------------------------------------------------
 
-TEST(ReplicaBatchTest, RejectsShardedConfigs) {
-  std::vector<SimConfig> configs(2, small_cfg(RouterDesign::DXbar));
-  configs[1].shards = 2;
-  EXPECT_THROW(ReplicaBatch{configs}, std::invalid_argument);
-}
-
-TEST(ReplicaBatchTest, RejectsMixedDesignsAndOversizedBatches) {
-  std::vector<SimConfig> mixed(2, small_cfg(RouterDesign::DXbar));
-  mixed[1].design = RouterDesign::FlitBless;
-  EXPECT_THROW(ReplicaBatch{mixed}, std::invalid_argument);
-
-  const std::vector<SimConfig> too_many(Network::kMaxStepLanes + 1,
-                                        small_cfg(RouterDesign::DXbar));
-  EXPECT_THROW(ReplicaBatch{too_many}, std::invalid_argument);
-}
-
 TEST(ReplicaBatchTest, SweepSerializesShardedConfigs) {
-  // shards > 1 never batches, but run_replica_sweep must still return
-  // the bit-exact serial result for it (run cold via run_open_loop).
+  // shards > 1 never shares a warmup, but run_warm_sweep must still
+  // return the bit-exact serial result for it (run cold via
+  // run_open_loop).
   std::vector<SimConfig> configs(3, small_cfg(RouterDesign::DXbar));
   configs[0].measure_seed = 11;
   configs[1].shards = 2;
   configs[2].measure_seed = 22;
-  ReplicaSweepReport report;
-  const auto batched = run_replica_sweep(configs, 1, nullptr, &report);
+  WarmSweepReport report;
+  const auto batched = run_warm_sweep(configs, report, 1);
   const auto serial = run_sweep(configs, 1);
   ASSERT_EQ(batched.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(stats_bytes(batched[i]), stats_bytes(serial[i]));
   }
   // The two measure_seed siblings grouped; the sharded point ran cold.
-  ASSERT_EQ(report.warm.groups.size(), 1u);
-  EXPECT_EQ(report.warm.groups[0].size(), 2u);
-  EXPECT_EQ(report.warm.cold_points, 1u);
+  ASSERT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.groups[0].size(), 2u);
+  EXPECT_EQ(report.cold_points, 1u);
 }
 
 // --- warmup cache ------------------------------------------------------
@@ -266,9 +276,9 @@ TEST(WarmupCacheTest, SweepReusesCachedWarmupsAcrossCalls) {
     configs[i].measure_seed = 5 + i;
   }
   WarmupCache cache;
-  ReplicaSweepReport first, second;
-  const auto r1 = run_replica_sweep(configs, 1, &cache, &first);
-  const auto r2 = run_replica_sweep(configs, 1, &cache, &second);
+  WarmSweepReport first, second;
+  const auto r1 = run_warm_sweep(configs, first, 1, &cache);
+  const auto r2 = run_warm_sweep(configs, second, 1, &cache);
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_EQ(first.cache_misses, 1u);
   EXPECT_EQ(second.cache_hits, 1u);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/closed_loop_campaign.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "workload/closed_loop.hpp"
@@ -320,7 +319,8 @@ TEST(ClosedLoopDeterminism, SweepResultsIndependentOfThreadCount) {
 
 TEST(ClosedLoopReplicaSweep, SeedReplicasMatchSerialRuns) {
   // The --seeds engine: measure_seed replicas of one closed-loop point
-  // batched in lockstep must reproduce each replica's solo run.
+  // forked from one shared warmup must reproduce each replica's solo
+  // run.
   std::vector<SimConfig> configs;
   for (std::uint64_t ms : {1u, 2u, 3u}) {
     SimConfig cfg = closed_loop_cfg(RouterDesign::DXbar);
@@ -328,7 +328,10 @@ TEST(ClosedLoopReplicaSweep, SeedReplicasMatchSerialRuns) {
     configs.push_back(cfg);
   }
   const std::vector<RunStats> serial = run_sweep(configs, 1);
-  const std::vector<RunStats> batched = run_replica_sweep(configs, 1);
+  WarmSweepReport report;
+  const std::vector<RunStats> batched = run_warm_sweep(configs, report, 1);
+  EXPECT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.cold_points, 0u);
   ASSERT_EQ(batched.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("replica " + std::to_string(i));
