@@ -101,13 +101,10 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
 std::string select_experiments(const BenchArgs& args,
                                std::vector<const Experiment*>& out);
 
-/// Prints a per-experiment point-count / simulated-cycles / ETA table
-/// to stderr before a multi-experiment session starts.  The ETA uses
-/// the per-design cycles/sec baselines committed in BENCH_kernel.json
-/// (searched in the current directory, then the source tree) divided
-/// by the worker count; designs missing from the baseline fall back to
-/// the slowest measured design.  Estimates are upper bounds: warm-start
-/// sharing and drain-cap slack only make real runs faster.
+/// Prints a per-experiment point-count / simulated-cycles table and
+/// its total to stderr before a multi-experiment session starts.
+/// Cycles count each point's warmup once (its --seeds replicas share
+/// it) plus every measurement window; drain cycles are not counted.
 void print_preflight(const std::vector<const Experiment*>& to_run,
                      const RunOptions& opt);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <memory>
 
 #include "sim/network.hpp"
@@ -16,45 +15,13 @@ namespace dxbar {
 
 namespace {
 
-constexpr std::uint32_t kResultTag = section_tag("CRES");
 constexpr std::uint32_t kSecCampaign = section_tag("CAMP");
 constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void append_le32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_le64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t le32_at(const std::vector<std::uint8_t>& b, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(b[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t le64_at(const std::vector<std::uint8_t>& b, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(b[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
+std::uint64_t points_fingerprint(const std::vector<SimConfig>& points) {
+  SnapshotWriter w;
+  for (const SimConfig& p : points) save_config(w, p);
+  return fnv1a(w.data().data(), w.data().size());
 }
 
 /// The campaign cursor stored in a checkpoint, derived from the clock:
@@ -75,63 +42,12 @@ Campaign::Campaign(std::vector<SimConfig> points, std::string dir,
     : points_(std::move(points)),
       dir_(std::move(dir)),
       checkpoint_interval_(checkpoint_interval == 0 ? 1 : checkpoint_interval),
-      results_(points_.size()) {
-  SnapshotWriter w;
-  for (const SimConfig& p : points_) save_config(w, p);
-  fingerprint_ = fnv1a(w.data().data(), w.data().size());
-  load_results();
-}
+      fingerprint_(points_fingerprint(points_)),
+      log_(dir_ + "/results.bin", fingerprint_, points_.size()),
+      results_(log_.decode(&load_run_stats)) {}
 
-std::string Campaign::results_path() const { return dir_ + "/results.bin"; }
 std::string Campaign::checkpoint_path() const {
   return dir_ + "/checkpoint.bin";
-}
-
-void Campaign::load_results() {
-  const std::vector<std::uint8_t> bytes = read_file(results_path());
-  // Frames are appended sequentially, so the first frame that fails any
-  // check — unknown tag, overrun, bad hash, unparsable payload — is a
-  // torn tail from a crash mid-append; it and everything after it are
-  // dropped (that point simply re-runs).
-  std::size_t pos = 0;
-  while (bytes.size() - pos >= 4 + 8) {
-    if (le32_at(bytes, pos) != kResultTag) break;
-    const std::uint64_t len = le64_at(bytes, pos + 4);
-    if (len > bytes.size() - pos - 12 || bytes.size() - pos - 12 - len < 8) {
-      break;
-    }
-    const std::uint8_t* payload = bytes.data() + pos + 12;
-    if (fnv1a(payload, len) != le64_at(bytes, pos + 12 + len)) break;
-    try {
-      SnapshotReader r(payload, len);
-      const std::uint32_t point = r.u32();
-      const RunStats stats = load_run_stats(r);
-      if (point < points_.size()) results_[point] = stats;
-    } catch (const SnapshotError&) {
-      break;
-    }
-    pos += 12 + len + 8;
-  }
-}
-
-void Campaign::append_result(std::size_t point, const RunStats& stats) {
-  SnapshotWriter payload;
-  payload.u32(static_cast<std::uint32_t>(point));
-  save_run_stats(payload, stats);
-  const std::vector<std::uint8_t>& p = payload.data();
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(p.size() + 20);
-  append_le32(frame, kResultTag);
-  append_le64(frame, p.size());
-  frame.insert(frame.end(), p.begin(), p.end());
-  append_le64(frame, fnv1a(p.data(), p.size()));
-
-  std::ofstream out(results_path(),
-                    std::ios::binary | std::ios::app);
-  out.write(reinterpret_cast<const char*>(frame.data()),
-            static_cast<std::streamsize>(frame.size()));
-  out.flush();
 }
 
 void Campaign::write_checkpoint(std::size_t point, const Network& net,
@@ -236,7 +152,9 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
     // Persist the result BEFORE dropping the checkpoint: a crash between
     // the two leaves a stale checkpoint for a completed point, which the
     // next run detects (point != first pending) and discards.
-    append_result(i, out);
+    SnapshotWriter record;
+    save_run_stats(record, out);
+    log_.append(i, record.data());
     results_[i] = out;
     std::remove(checkpoint_path().c_str());
   }

@@ -3,9 +3,10 @@
 // A campaign is an ordered list of open-loop simulation points run to
 // completion with all progress persisted under one directory:
 //
-//   results.bin     append-only, one framed record per completed point
-//                   (tag + length + payload + FNV-1a of the payload, so
-//                   a torn tail after a crash is detected and dropped)
+//   results.bin     a ResultLog keyed by the point-list fingerprint: one
+//                   hash-framed record per completed point (a torn tail
+//                   after a crash is dropped, records of a different
+//                   point list are ignored)
 //   checkpoint.bin  periodic snapshot of the in-flight point (network +
 //                   workload + campaign cursor), replaced atomically via
 //                   write-to-temp + rename
@@ -23,6 +24,7 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
+#include "sim/result_log.hpp"
 
 namespace dxbar {
 
@@ -37,7 +39,7 @@ class Campaign {
   /// `points` defines the campaign (order matters: it is the execution
   /// and resume order).  `dir` must exist; pass the same points to
   /// resume — the persisted state carries a fingerprint of the point
-  /// list and a checkpoint for a different campaign is rejected.
+  /// list, and results or a checkpoint of a different list are ignored.
   /// `checkpoint_interval` is in simulated cycles.
   Campaign(std::vector<SimConfig> points, std::string dir,
            Cycle checkpoint_interval = 50'000);
@@ -59,11 +61,8 @@ class Campaign {
   [[nodiscard]] const std::string& directory() const { return dir_; }
 
  private:
-  [[nodiscard]] std::string results_path() const;
   [[nodiscard]] std::string checkpoint_path() const;
 
-  void load_results();
-  void append_result(std::size_t point, const RunStats& stats);
   void write_checkpoint(std::size_t point, const class Network& net,
                         const class WorkloadModel& workload) const;
 
@@ -71,6 +70,7 @@ class Campaign {
   std::string dir_;
   Cycle checkpoint_interval_;
   std::uint64_t fingerprint_;  ///< over the full point list
+  ResultLog log_;
   std::vector<std::optional<RunStats>> results_;
 };
 

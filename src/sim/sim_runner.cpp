@@ -100,6 +100,26 @@ DetailedRun run_open_loop_detailed(const SimConfig& cfg) {
   return out;
 }
 
+void save_closed_loop_result(SnapshotWriter& w, const ClosedLoopResult& r) {
+  w.u64(r.completion_cycles);
+  w.boolean(r.finished);
+  w.u64(r.packets);
+  w.f64(r.energy_nj);
+  w.f64(r.energy_per_packet_nj);
+  w.f64(r.avg_packet_latency);
+}
+
+ClosedLoopResult load_closed_loop_result(SnapshotReader& r) {
+  ClosedLoopResult out;
+  out.completion_cycles = r.u64();
+  out.finished = r.boolean();
+  out.packets = r.u64();
+  out.energy_nj = r.f64();
+  out.energy_per_packet_nj = r.f64();
+  out.avg_packet_latency = r.f64();
+  return out;
+}
+
 ClosedLoopResult run_closed_loop(const SimConfig& cfg,
                                  WorkloadModel& workload, Cycle max_cycles) {
   Network net(cfg);

@@ -79,6 +79,11 @@ struct ClosedLoopResult {
   double avg_packet_latency = 0.0;
 };
 
+/// ClosedLoopResult round-trip for result logs; the field order is the
+/// record format.
+void save_closed_loop_result(SnapshotWriter& w, const ClosedLoopResult& r);
+ClosedLoopResult load_closed_loop_result(SnapshotReader& r);
+
 /// Runs a SPLASH-2 substitute application to completion (or `max_cycles`)
 /// in closed-loop mode (the network's latency feeds back into issue).
 ClosedLoopResult run_splash(const SimConfig& cfg, const SplashProfile& app,

@@ -164,6 +164,54 @@ TEST(Campaign, TornResultTailIsDroppedAndRecomputed) {
   expect_same_results(damaged, reference);
 }
 
+TEST(Campaign, TornTailConvergesOnNextOpen) {
+  const auto points = tiny_points();
+  const std::string dir = scratch_dir("torn_converges");
+  {
+    Campaign campaign(points, dir, 100);
+    ASSERT_TRUE(campaign.run().finished);
+  }
+  const fs::path results = fs::path(dir) / "results.bin";
+  fs::resize_file(results, fs::file_size(results) - 5);
+  {
+    Campaign damaged(points, dir, 100);
+    ASSERT_TRUE(damaged.run().finished);
+  }
+
+  // The recomputed point must be readable: a fresh instance reports
+  // completion without simulating anything.
+  Campaign reopened(points, dir, 100);
+  EXPECT_TRUE(reopened.status().finished);
+  EXPECT_EQ(reopened.status().completed, points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(reopened.results()[i].has_value()) << "point " << i;
+    EXPECT_EQ(stats_bytes(*reopened.results()[i]),
+              stats_bytes(run_open_loop(points[i])))
+        << "point " << i;
+  }
+}
+
+TEST(Campaign, DirectoryReusedWithDifferentPointsReruns) {
+  const std::string dir = scratch_dir("reused");
+  {
+    Campaign campaign(tiny_points(), dir, 100);
+    ASSERT_TRUE(campaign.run().finished);
+  }
+  // Same directory, same point count, different seed: the finished
+  // results belong to another point list and must not be served.
+  auto other_points = tiny_points();
+  for (auto& p : other_points) p.seed = 7;
+  Campaign other(other_points, dir, 100);
+  EXPECT_EQ(other.status().completed, 0u);
+  ASSERT_TRUE(other.run().finished);
+  for (std::size_t i = 0; i < other_points.size(); ++i) {
+    ASSERT_TRUE(other.results()[i].has_value()) << "point " << i;
+    EXPECT_EQ(stats_bytes(*other.results()[i]),
+              stats_bytes(run_open_loop(other_points[i])))
+        << "point " << i;
+  }
+}
+
 TEST(Campaign, CorruptCheckpointFallsBackToColdStart) {
   const auto points = tiny_points();
   const std::string dir = scratch_dir("corrupt_ckpt");

@@ -291,6 +291,24 @@ TEST(ExpExecute, CampaignExecutorIsBitIdenticalToWarmSweep) {
   EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(second.grid_stats));
 }
 
+TEST(ExpExecute, ResumeDirReusedAcrossOverridesMatchesDirect) {
+  const Experiment e = tiny_experiment();
+  const std::string dir = scratch_dir("reused");
+  RunOptions first = tiny_options();
+  first.resume_dir = dir;
+  (void)execute(e, first);
+
+  // Same resume directory, a seed override: every point must re-run
+  // instead of replaying the first run's results.
+  RunOptions reseeded = tiny_options();
+  reseeded.base.seed = 7;
+  const ExperimentResult direct = execute(e, reseeded);
+  reseeded.resume_dir = dir;
+  const ExperimentResult resumed = execute(e, reseeded);
+  EXPECT_EQ(resumed.executor, "campaign");
+  EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(resumed.grid_stats));
+}
+
 TEST(ExpExecute, WarmupPinningActivatesGrouping) {
   const Experiment e = tiny_experiment();
   RunOptions opt = tiny_options();

@@ -2,8 +2,8 @@
 // fixed-bucket latency histogram, the protocol-deadlock-freedom
 // invariant (forward progress at saturation for every design), the
 // MLP bound, determinism across execution strategies (shards, sweep
-// threads, replica batches), snapshot/restore, and the point-level
-// ClosedLoopCampaign resume format.
+// threads, replica batches) and snapshot/restore.  The point-level
+// resume format is covered by result_log_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include <fstream>
 #include <vector>
 
-#include "sim/closed_loop_campaign.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "workload/closed_loop.hpp"
@@ -364,105 +363,6 @@ TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
   SnapshotReader r(w.data());
   wl2->load_state(r);
   expect_identical(straight, finish_open_loop(resumed, *wl2));
-}
-
-// --- ClosedLoopCampaign: point-level resume ------------------------------
-
-ClosedLoopResult sample_result(std::uint64_t i) {
-  ClosedLoopResult r;
-  r.completion_cycles = 1000 + i;
-  r.finished = true;
-  r.packets = 50 * (i + 1);
-  r.energy_nj = 1.25 * static_cast<double>(i);
-  r.energy_per_packet_nj = 0.5 + static_cast<double>(i);
-  r.avg_packet_latency = 20.0 + static_cast<double>(i);
-  return r;
-}
-
-void expect_result(const ClosedLoopResult& a, const ClosedLoopResult& b) {
-  EXPECT_EQ(a.completion_cycles, b.completion_cycles);
-  EXPECT_EQ(a.finished, b.finished);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.energy_nj, b.energy_nj);
-  EXPECT_EQ(a.energy_per_packet_nj, b.energy_per_packet_nj);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-}
-
-TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
-  const std::string dir = ::testing::TempDir() + "/clc_resume";
-  std::filesystem::remove_all(dir);  // stale state from a prior run
-  std::filesystem::create_directories(dir);
-  constexpr std::uint64_t kFp = 0xfeedface;
-
-  {
-    ClosedLoopCampaign c(4, dir, kFp);
-    EXPECT_EQ(c.completed(), 0u);
-    c.record(0, sample_result(0));
-    c.record(2, sample_result(2));
-    EXPECT_EQ(c.completed(), 2u);
-  }
-  {
-    ClosedLoopCampaign c(4, dir, kFp);
-    EXPECT_EQ(c.completed(), 2u);
-    ASSERT_TRUE(c.results()[0].has_value());
-    EXPECT_FALSE(c.results()[1].has_value());
-    ASSERT_TRUE(c.results()[2].has_value());
-    expect_result(*c.results()[0], sample_result(0));
-    expect_result(*c.results()[2], sample_result(2));
-    c.record(1, sample_result(1));
-    c.record(3, sample_result(3));
-  }
-  ClosedLoopCampaign c(4, dir, kFp);
-  EXPECT_EQ(c.completed(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    expect_result(*c.results()[i], sample_result(i));
-  }
-}
-
-TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
-  const std::string dir = ::testing::TempDir() + "/clc_foreign";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  {
-    ClosedLoopCampaign quick(3, dir, /*fingerprint=*/111);
-    quick.record(0, sample_result(0));
-    quick.record(1, sample_result(1));
-  }
-  // A full run sharing the directory: the quick run's frames must not
-  // leak in as completed points.
-  {
-    ClosedLoopCampaign full(3, dir, /*fingerprint=*/222);
-    EXPECT_EQ(full.completed(), 0u);
-    full.record(2, sample_result(7));
-  }
-  // And back: each fingerprint still sees exactly its own frames.
-  ClosedLoopCampaign quick(3, dir, 111);
-  EXPECT_EQ(quick.completed(), 2u);
-  ClosedLoopCampaign full(3, dir, 222);
-  ASSERT_EQ(full.completed(), 1u);
-  expect_result(*full.results()[2], sample_result(7));
-}
-
-TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
-  const std::string dir = ::testing::TempDir() + "/clc_torn";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  constexpr std::uint64_t kFp = 42;
-
-  {
-    ClosedLoopCampaign c(2, dir, kFp);
-    c.record(0, sample_result(0));
-  }
-  {
-    // Simulate a crash mid-append: garbage after the last valid frame.
-    std::ofstream out(dir + "/results.bin",
-                      std::ios::binary | std::ios::app);
-    out.write("\x13\x37\x13", 3);
-  }
-  ClosedLoopCampaign c(2, dir, kFp);
-  EXPECT_EQ(c.completed(), 1u);
-  expect_result(*c.results()[0], sample_result(0));
 }
 
 }  // namespace
