@@ -22,9 +22,8 @@
 #include "fault/fault_model.hpp"
 #include "power/energy_model.hpp"
 #include "routing/deflect.hpp"
-#include "routing/route_cache.hpp"
+#include "routing/route_lookup.hpp"
 #include "routing/route_table.hpp"
-#include "routing/routing_algorithm.hpp"
 #include "topology/channel.hpp"
 #include "topology/mesh.hpp"
 
@@ -91,12 +90,13 @@ struct RouterEnv {
   const Mesh* mesh = nullptr;
   EnergyMeter* energy = nullptr;
   const FaultPlan* faults = nullptr;
+  /// Offset-class route sets and coordinates of the healthy topology;
+  /// always set (see routing/route_lookup.hpp).
+  const RouteLookup* route_lookup = nullptr;
   /// Fault-aware routing table; non-null when link faults degrade the
-  /// topology (see routing/route_table.hpp).
+  /// topology, and then it overrides route_lookup's route sets (see
+  /// routing/route_table.hpp).
   const RouteTable* route_table = nullptr;
-  /// Precomputed route sets for the healthy topology; non-null when the
-  /// network built one (mutually exclusive with route_table).
-  const RouteCache* route_cache = nullptr;
   /// nullptr at mesh edges AND for dead links (link faults).
   std::array<Channel*, kNumLinkDirs> out_links{};
   std::array<Channel*, kNumLinkDirs> in_links{};
@@ -177,11 +177,10 @@ class Router {
 
   /// Productive output ports for `dst`: the configured algorithm on a
   /// healthy topology, or the fault-aware table when links are dead.
-  /// The healthy path is one precomputed-table read (see RouteCache).
+  /// The healthy path is an offset-class read (see RouteLookup).
   [[nodiscard]] RouteSet routes(NodeId dst) const {
-    if (env_.route_cache != nullptr) return env_.route_cache->routes(id_, dst);
     if (env_.route_table != nullptr) return env_.route_table->routes(id_, dst);
-    return compute_routes(env_.cfg->routing, *env_.mesh, id_, dst);
+    return env_.route_lookup->routes(id_, dst);
   }
 
   /// Every port that makes forward progress toward `dst` (minimal
@@ -189,9 +188,8 @@ class Router {
   /// routers, which adapt over all productive ports regardless of the
   /// configured deterministic algorithm.
   [[nodiscard]] RouteSet progressive_dirs(NodeId dst) const {
-    if (env_.route_cache != nullptr) return env_.route_cache->minimal(id_, dst);
     if (env_.route_table != nullptr) return env_.route_table->routes(id_, dst);
-    return minimal_routes(*env_.mesh, id_, dst);
+    return env_.route_lookup->minimal(id_, dst);
   }
 
   /// The output link exists and is operational.
@@ -202,10 +200,11 @@ class Router {
   /// Deflection preference over the link directions: ports that make
   /// forward progress first (live-topology aware — on a degraded mesh
   /// geometric preference can livelock around obstacles), then the
-  /// geometric ranking for the rest.
+  /// geometric ranking of the healthy topology for the rest.
   [[nodiscard]] std::array<Direction, kNumLinkDirs> deflection_order(
       const Flit& f, std::uint64_t salt) const {
-    const auto geometric = deflection_ranking(*env_.mesh, id_, f.dst, salt);
+    const auto geometric =
+        env_.route_lookup->deflection_ranking(id_, f.dst, salt);
     if (env_.route_table == nullptr) return geometric;
     const RouteSet prog = progressive_dirs(f.dst);
     std::array<Direction, kNumLinkDirs> out{};

@@ -11,17 +11,20 @@ bool is_productive(const Mesh& mesh, NodeId cur, NodeId dst, Direction dir) {
 std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
                                                        NodeId cur, NodeId dst,
                                                        std::uint64_t salt) {
-  // Wrap-aware signed offsets: on a torus the shorter way around wins.
-  const int dx = mesh.offset_x(cur, dst);
-  const int dy = mesh.offset_y(cur, dst);
-
   // Link existence from the current coordinate: a torus has every link,
   // a mesh lacks the ones leaving its edge.
-  const Coord c = mesh.coord(cur);
-  const bool wrap = mesh.wraps();
-  const std::array<bool, kNumLinkDirs> has_link = {
-      wrap || c.x + 1 < mesh.width(), wrap || c.x > 0,
-      wrap || c.y + 1 < mesh.height(), wrap || c.y > 0};
+  unsigned link_mask = 0;
+  for (Direction d : kLinkDirs) {
+    if (mesh.has_link(cur, d)) link_mask |= 1u << port_index(d);
+  }
+  // Wrap-aware signed offsets: on a torus the shorter way around wins.
+  return deflection_ranking(mesh.offset_x(cur, dst), mesh.offset_y(cur, dst),
+                            link_mask, salt);
+}
+
+std::array<Direction, kNumLinkDirs> deflection_ranking(int dx, int dy,
+                                                       unsigned link_mask,
+                                                       std::uint64_t salt) {
   // Signed offset remaining along each direction's axis, positive when
   // the direction is productive (indexed like kLinkDirs).
   const std::array<int, kNumLinkDirs> progress = {dx, -dx, dy, -dy};
@@ -35,7 +38,7 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
   std::array<Ranked, kNumLinkDirs> ranked{};
   for (int i = 0; i < kNumLinkDirs; ++i) {
     int score = -1000;  // never pick a missing edge link
-    if (has_link[i]) {
+    if ((link_mask >> i) & 1u) {
       const int p = progress[i];
       score = p > 0 ? 100 + p   // productive: larger offsets first
               : p < 0 ? -10     // anti-productive: last resort

@@ -22,6 +22,15 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
                                                        NodeId cur, NodeId dst,
                                                        std::uint64_t salt);
 
+/// The same ranking from precomputed inputs: the wrap-aware offsets
+/// `dx` / `dy` to the destination and the mask of links leaving the
+/// current node (bit port_index(d) set when the link exists).  The Mesh
+/// overload above derives those inputs by division and is the oracle
+/// the RouteLookup-fed path is tested against.
+std::array<Direction, kNumLinkDirs> deflection_ranking(int dx, int dy,
+                                                       unsigned link_mask,
+                                                       std::uint64_t salt);
+
 /// True when `dir` strictly reduces the distance to `dst` from `cur`.
 bool is_productive(const Mesh& mesh, NodeId cur, NodeId dst, Direction dir);
 

@@ -40,6 +40,7 @@ Network::Network(const SimConfig& cfg, FaultPlan plan,
       energy_(derive_energy_params(cfg)),
       faults_(std::move(plan)),
       link_faults_(mesh_, cfg.link_fault_fraction, cfg.seed),
+      route_lookup_(cfg.routing, mesh_),
       stats_(cfg.warmup_cycles, cfg.warmup_cycles + cfg.measure_cycles,
              cfg.num_nodes()) {
   assert(part_.width() == mesh_.width() &&
@@ -50,8 +51,6 @@ Network::Network(const SimConfig& cfg, FaultPlan plan,
         mesh_, [this](NodeId n, Direction d) {
           return link_faults_.alive(n, d);
         });
-  } else if (RouteCache::worthwhile(mesh_)) {
-    route_cache_ = std::make_unique<RouteCache>(cfg_.routing, mesh_);
   }
   build();
 }
@@ -66,8 +65,12 @@ void Network::build() {
   // (node, dir) order.  channel_at(a, d) carries flits from router a's
   // output d to the neighbour's opposite input port.  The vector is
   // fully populated before any Channel* is handed out, so the pointers
-  // stay stable for the network's lifetime.
-  link_slot_.assign(static_cast<std::size_t>(n) * kNumLinkDirs, -1);
+  // stay stable for the network's lifetime; reserving the 4N upper bound
+  // spares the build its reallocations.
+  const std::size_t max_links = static_cast<std::size_t>(n) * kNumLinkDirs;
+  link_slot_.assign(max_links, -1);
+  channels_.reserve(max_links);
+  channel_meta_.reserve(max_links);
   for (NodeId a = 0; a < static_cast<NodeId>(n); ++a) {
     for (Direction d : kLinkDirs) {
       const auto nb = mesh_.neighbor(a, d);
@@ -139,8 +142,8 @@ void Network::build() {
     env.mesh = &mesh_;
     env.energy = &owner.energy;
     env.faults = &faults_;
+    env.route_lookup = &route_lookup_;
     env.route_table = route_table_.get();
-    env.route_cache = route_cache_.get();
     for (Direction d : kLinkDirs) {
       const int di = port_index(d);
       // Outgoing: our own link in direction d.

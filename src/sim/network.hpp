@@ -11,7 +11,7 @@
 #include "common/stats.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/link_faults.hpp"
-#include "routing/route_cache.hpp"
+#include "routing/route_lookup.hpp"
 #include "routing/route_table.hpp"
 #include "power/energy_model.hpp"
 #include "router/factory.hpp"
@@ -110,10 +110,11 @@ class Network final : public Injector {
     for (const auto& s : shards_) live += s->flit_pool.live();
     return live;
   }
-  /// Which routing acceleration structure this network built (mutually
-  /// exclusive; both false on small meshes with no link faults).
-  [[nodiscard]] bool using_route_cache() const noexcept {
-    return route_cache_ != nullptr;
+  /// Where routers take their route sets from (mutually exclusive): the
+  /// offset-class RouteLookup on a healthy topology of any size, or the
+  /// BFS RouteTable when link faults degrade it.
+  [[nodiscard]] bool using_route_lookup() const noexcept {
+    return route_table_ == nullptr;
   }
   [[nodiscard]] bool using_route_table() const noexcept {
     return route_table_ != nullptr;
@@ -252,8 +253,8 @@ class Network final : public Injector {
   EnergyMeter energy_;
   FaultPlan faults_;
   LinkFaultPlan link_faults_;
+  RouteLookup route_lookup_;  ///< always built; O(N)
   std::unique_ptr<RouteTable> route_table_;  ///< set iff link faults exist
-  std::unique_ptr<RouteCache> route_cache_;  ///< set iff topology healthy
   StatsCollector stats_;
   WorkloadModel* workload_ = nullptr;
   EventTracer* tracer_ = nullptr;

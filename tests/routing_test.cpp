@@ -1,13 +1,17 @@
 // Unit and property tests for routing/: DOR, West-First turn model,
-// deflection ranking.
+// deflection ranking, and the offset-class RouteLookup held exactly to
+// the routing functions it is derived from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "routing/deflect.hpp"
 #include "routing/dor.hpp"
+#include "routing/route_lookup.hpp"
 #include "routing/routing_algorithm.hpp"
 #include "routing/west_first.hpp"
 
@@ -248,6 +252,92 @@ TEST(RoutingAlgorithm, DorConsistentWithWf) {
       if (m.coord(d).x != m.coord(s).x) {
         // X not resolved: DOR goes east/west; WF must offer the same.
         EXPECT_TRUE(wf.contains(xy));
+      }
+    }
+  }
+}
+
+// --- offset-class route lookup --------------------------------------------
+
+// Meshes from the smallest legal one up to 33x33 (past 1024 nodes), with
+// odd, even and unequal sides; tori whose even sides hit the offset tie
+// (delta == k/2, broken positive) and whose 2-wide sides never produce a
+// negative offset.
+std::vector<Mesh> lookup_topologies() {
+  return {Mesh(2, 2),        Mesh(2, 7),        Mesh(3, 3),
+          Mesh(5, 4),        Mesh(8, 8),        Mesh(33, 33),
+          Mesh(2, 2, true),  Mesh(3, 3, true),  Mesh(4, 4, true),
+          Mesh(4, 5, true),  Mesh(8, 8, true)};
+}
+
+std::string topology_name(const Mesh& m) {
+  return std::to_string(m.width()) + "x" + std::to_string(m.height()) +
+         (m.wraps() ? " torus" : " mesh");
+}
+
+bool same_routes(const RouteSet& a, const RouteSet& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(RouteLookup, MatchesRoutingFunctionsOnEveryPair) {
+  constexpr std::array<RoutingAlgo, 4> kAlgos = {
+      RoutingAlgo::DOR, RoutingAlgo::WestFirst, RoutingAlgo::NegativeFirst,
+      RoutingAlgo::NorthLast};
+  for (const Mesh& m : lookup_topologies()) {
+    std::vector<RouteLookup> lookups;
+    for (RoutingAlgo a : kAlgos) lookups.emplace_back(a, m);
+    const auto n = static_cast<NodeId>(m.num_nodes());
+    for (NodeId cur = 0; cur < n; ++cur) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        for (std::size_t a = 0; a < kAlgos.size(); ++a) {
+          ASSERT_TRUE(same_routes(lookups[a].routes(cur, dst),
+                                  compute_routes(kAlgos[a], m, cur, dst)))
+              << topology_name(m) << " " << to_string(kAlgos[a]) << " cur "
+              << cur << " dst " << dst;
+          ASSERT_TRUE(same_routes(lookups[a].minimal(cur, dst),
+                                  minimal_routes(m, cur, dst)))
+              << topology_name(m) << " minimal cur " << cur << " dst " << dst;
+        }
+      }
+    }
+  }
+}
+
+TEST(RouteLookup, OffsetsAndLinkMaskMatchTheMesh) {
+  for (const Mesh& m : lookup_topologies()) {
+    const RouteLookup lookup(RoutingAlgo::DOR, m);
+    const auto n = static_cast<NodeId>(m.num_nodes());
+    for (NodeId cur = 0; cur < n; ++cur) {
+      for (Direction d : kLinkDirs) {
+        ASSERT_EQ((lookup.link_mask(cur) >> port_index(d)) & 1u,
+                  m.has_link(cur, d) ? 1u : 0u)
+            << topology_name(m) << " node " << cur << " dir " << to_string(d);
+      }
+      for (NodeId dst = 0; dst < n; ++dst) {
+        ASSERT_EQ(lookup.offset_x(cur, dst), m.offset_x(cur, dst))
+            << topology_name(m) << " cur " << cur << " dst " << dst;
+        ASSERT_EQ(lookup.offset_y(cur, dst), m.offset_y(cur, dst))
+            << topology_name(m) << " cur " << cur << " dst " << dst;
+      }
+    }
+  }
+}
+
+TEST(RouteLookup, DeflectionRankingMatchesMeshOracle) {
+  Rng rng(16);
+  // Salt 0 ties every pair of equal-progress directions.
+  const std::array<std::uint64_t, 4> salts = {0, rng(), rng(), rng()};
+  for (const Mesh& m : lookup_topologies()) {
+    const RouteLookup lookup(RoutingAlgo::WestFirst, m);
+    const auto n = static_cast<NodeId>(m.num_nodes());
+    for (NodeId cur = 0; cur < n; ++cur) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        for (std::uint64_t salt : salts) {
+          ASSERT_EQ(lookup.deflection_ranking(cur, dst, salt),
+                    deflection_ranking(m, cur, dst, salt))
+              << topology_name(m) << " cur " << cur << " dst " << dst
+              << " salt " << salt;
+        }
       }
     }
   }

@@ -15,7 +15,7 @@
 #include "common/rng.hpp"
 #include "core/dxbar.hpp"
 #include "fault/link_faults.hpp"
-#include "routing/route_cache.hpp"
+#include "routing/route_lookup.hpp"
 #include "routing/route_table.hpp"
 
 namespace dxbar {
@@ -427,12 +427,12 @@ TEST(WarmSweep, SharedWarmupActuallyShares) {
   EXPECT_NE(stats_bytes(ra[0]), stats_bytes(rb[0]));
 }
 
-// --- route cache/table consistency (satellite: invalidation coverage) ----
+// --- route lookup/table consistency (invalidation coverage) -------------
 
-TEST(RouteCacheInvalidation, LinkFaultsForceTheBfsTable) {
+TEST(RoutingStructure, LinkFaultsForceTheBfsTable) {
   const SimConfig healthy = small_cfg(RouterDesign::DXbar);
   Network h(healthy);
-  EXPECT_TRUE(h.using_route_cache());
+  EXPECT_TRUE(h.using_route_lookup());
   EXPECT_FALSE(h.using_route_table());
 
   SimConfig faulted = healthy;
@@ -440,18 +440,29 @@ TEST(RouteCacheInvalidation, LinkFaultsForceTheBfsTable) {
   Network f(faulted);
   ASSERT_TRUE(f.link_faults().any());
   EXPECT_TRUE(f.using_route_table());
-  EXPECT_FALSE(f.using_route_cache());
+  EXPECT_FALSE(f.using_route_lookup());
 }
 
-TEST(RouteCacheInvalidation, DegradedTableNeverServesDeadLinks) {
+TEST(RoutingStructure, HealthyMeshPastAThousandNodesUsesTheLookup) {
+  // Past 1024 nodes routes used to be recomputed on every query; the
+  // offset-class lookup is O(N) and serves every healthy size.
+  SimConfig big = small_cfg(RouterDesign::DXbar);
+  big.mesh_width = 33;
+  big.mesh_height = 33;
+  Network net(big);
+  EXPECT_TRUE(net.using_route_lookup());
+  EXPECT_FALSE(net.using_route_table());
+}
+
+TEST(RoutingStructure, DegradedTableNeverServesDeadLinks) {
   const Mesh mesh(6, 6);
   const LinkFaultPlan faults(mesh, 0.2, 7);
   ASSERT_TRUE(faults.any());
   const RouteTable table(
       mesh, [&](NodeId n, Direction d) { return faults.alive(n, d); });
-  const RouteCache stale_cache(RoutingAlgo::DOR, mesh);  // healthy-only
+  const RouteLookup stale_lookup(RoutingAlgo::DOR, mesh);  // healthy-only
 
-  bool stale_cache_crosses_dead_link = false;
+  bool stale_lookup_crosses_dead_link = false;
   for (NodeId s = 0; s < static_cast<NodeId>(mesh.num_nodes()); ++s) {
     for (NodeId d = 0; d < static_cast<NodeId>(mesh.num_nodes()); ++d) {
       if (s == d) continue;
@@ -459,19 +470,19 @@ TEST(RouteCacheInvalidation, DegradedTableNeverServesDeadLinks) {
         EXPECT_TRUE(faults.alive(s, dir))
             << "BFS table routed over dead link at node " << s;
       }
-      for (Direction dir : stale_cache.routes(s, d)) {
-        if (!faults.alive(s, dir)) stale_cache_crosses_dead_link = true;
+      for (Direction dir : stale_lookup.routes(s, d)) {
+        if (!faults.alive(s, dir)) stale_lookup_crosses_dead_link = true;
       }
     }
   }
-  // The healthy-topology cache WOULD cross dead links on this plan —
-  // which is exactly why a link-faulted network must never build it
+  // The healthy-topology lookup WOULD cross dead links on this plan —
+  // which is exactly why a link-faulted network must never route by it
   // (LinkFaultsForceTheBfsTable) and why the structural fingerprint
   // refuses to restore across a link-fault config change.
-  EXPECT_TRUE(stale_cache_crosses_dead_link);
+  EXPECT_TRUE(stale_lookup_crosses_dead_link);
 }
 
-TEST(RouteCacheInvalidation, RestoreRebuildsTheRightRoutingStructure) {
+TEST(RoutingStructure, RestoreRebuildsTheRightRoutingStructure) {
   SimConfig faulted = small_cfg(RouterDesign::DXbar);
   faulted.link_fault_fraction = 0.2;
   Network net(faulted);
@@ -483,9 +494,10 @@ TEST(RouteCacheInvalidation, RestoreRebuildsTheRightRoutingStructure) {
   Network fresh(faulted);
   fresh.restore(bytes);
   // A restored network derives its routing structure from construction,
-  // so the degraded topology keeps the BFS table (never a stale cache).
+  // so the degraded topology keeps the BFS table (never the healthy
+  // lookup's route sets).
   EXPECT_TRUE(fresh.using_route_table());
-  EXPECT_FALSE(fresh.using_route_cache());
+  EXPECT_FALSE(fresh.using_route_lookup());
 
   // And a healthy network refuses the degraded snapshot outright.
   Network healthy(small_cfg(RouterDesign::DXbar));
