@@ -1,5 +1,5 @@
 // Open-addressed hash map keyed by non-zero PacketId, used for the
-// ejection-side reassembly MSHRs.
+// ejection-side reassembly MSHRs and the closed-loop transaction tables.
 //
 // std::unordered_map allocates one node per insert, which put the
 // global allocator on the per-packet hot path.  This table stores
@@ -45,6 +45,19 @@ class PacketMap {
   void clear() noexcept {
     for (Slot& s : slots_) s = Slot{};
     size_ = 0;
+  }
+
+  /// Value for `key`, or nullptr when absent.  The pointer is valid
+  /// until the next insertion or erase.
+  [[nodiscard]] V* find(PacketId key) noexcept {
+    assert(key != 0 && "PacketId 0 is the empty-slot sentinel");
+    std::size_t i = probe_start(key);
+    for (;;) {
+      Slot& s = slots_[i];
+      if (s.key == key) return &s.value;
+      if (s.key == 0) return nullptr;
+      i = (i + 1) & (slots_.size() - 1);
+    }
   }
 
   /// Value for `key`, default-constructing it on first access.

@@ -31,6 +31,10 @@ class AfcRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): never.  The arrival-rate EMA is
+  /// updated on every step, arrivals or not, so no step is a no-op.
+  [[nodiscard]] bool quiescent() const noexcept { return false; }
+
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] bool buffered_mode() const { return buffered_mode_; }
   [[nodiscard]] std::uint64_t mode_switches() const { return mode_switches_; }

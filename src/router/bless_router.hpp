@@ -23,6 +23,11 @@ class BlessRouter final : public Router {
   /// Bufferless: nothing is ever resident between cycles.
   [[nodiscard]] int occupancy() const override { return 0; }
 
+  /// Activity gate (see router.hpp): always.  With no arrival and an
+  /// empty source, step() gathers no flit and returns before touching
+  /// any state.
+  [[nodiscard]] bool quiescent() const noexcept { return true; }
+
  private:
   int degree_;  ///< number of existing links at this router
 };

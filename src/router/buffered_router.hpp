@@ -28,6 +28,11 @@ class BufferedRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): every lane is empty.  Then no head
+  /// requests an output, the allocator sees all-zero requests (its
+  /// arbiters rotate only on a grant), and there is no arrival to write.
+  [[nodiscard]] bool quiescent() const noexcept { return occupancy() == 0; }
+
   /// Total buffer slots per input port == credits the upstream holds.
   [[nodiscard]] int buffer_slots_per_input() const noexcept {
     return lanes_per_input_ * depth_;

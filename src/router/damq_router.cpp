@@ -4,25 +4,33 @@
 
 namespace dxbar {
 
+namespace {
+
+int live_inputs(const RouterEnv& env) {
+  int n = 0;
+  for (const Channel* ch : env.in_links) {
+    if (ch != nullptr) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 DamqRouter::DamqRouter(NodeId id, const RouterEnv& env)
     : Router(id, env),
       depth_(env.cfg->buffer_depth),
       pool_(kNumLinkDirs * env.cfg->buffer_depth),
-      queues_{FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_))},
+      shared_(pool_ - live_inputs(env) * window()),
+      queues_{FixedQueue<Entry>(static_cast<std::size_t>(window() + shared_)),
+              FixedQueue<Entry>(static_cast<std::size_t>(window() + shared_)),
+              FixedQueue<Entry>(static_cast<std::size_t>(window() + shared_)),
+              FixedQueue<Entry>(static_cast<std::size_t>(window() + shared_))},
       allocator_(kNumPorts, kNumPorts) {
-  int live_ports = 0;
-  for (int d = 0; d < kNumLinkDirs; ++d) {
-    if (live(d)) ++live_ports;
-  }
-  shared_ = pool_ - live_ports * window();
   // Seed the initial credit distribution: channels are built with zero
   // credits for this design, so everything the upstream may ever hold
   // flows through the same grant path (posted here as pending credits,
   // usable from cycle 0 after the first channel advance).
-  grant_credits();
+  grant_credits(0);
 }
 
 int DamqRouter::shared_used() const noexcept {
@@ -35,32 +43,36 @@ int DamqRouter::shared_used() const noexcept {
   return used;
 }
 
-bool DamqRouter::can_grant(int d) const noexcept {
-  if (!live(d)) return false;
-  // Outstanding credits never exceed the private window, so an idle
-  // upstream can park credits only in its own reservation — the shared
-  // region is filled exclusively by queued flits (real demand).
-  if (outstanding_[static_cast<std::size_t>(d)] >= window()) return false;
-  // Claims inside the private region are always grantable; beyond it
-  // the grant lands in the shared region while that has room.
-  return claim(d) < window() || shared_used() < shared_;
-}
-
-void DamqRouter::grant_credits() {
+void DamqRouter::grant_credits(int first) {
   // Fixpoint sweep, at most one grant per port per pass so a low pool
   // is split round-robin instead of handed wholesale to the first port.
+  // A port is grantable while it is live and its outstanding credits
+  // are under the private window — so an idle upstream parks credits
+  // only in its own reservation and the shared region is filled
+  // exclusively by queued flits (real demand) — and either its claim is
+  // inside the private region or the shared region has room.  `used`
+  // tracks the shared region across the sweep: a grant to a port whose
+  // claim already fills its window takes one shared slot.
+  const int w = window();
+  int used = shared_used();
   bool granted = true;
   while (granted) {
     granted = false;
     for (int k = 0; k < kNumLinkDirs; ++k) {
-      const int d = (grant_rr_ + k) % kNumLinkDirs;
-      if (!can_grant(d)) continue;
+      const int d = (first + k) & (kNumLinkDirs - 1);
+      if (!live(d) || outstanding_[static_cast<std::size_t>(d)] >= w) {
+        continue;
+      }
+      const int c = claim(d);
+      if (c >= w) {
+        if (used >= shared_) continue;
+        ++used;
+      }
       env_.in_links[static_cast<std::size_t>(d)]->return_credit();
       ++outstanding_[static_cast<std::size_t>(d)];
       granted = true;
     }
   }
-  grant_rr_ = (grant_rr_ + 1) % kNumLinkDirs;
 }
 
 void DamqRouter::step(Cycle now) {
@@ -130,7 +142,7 @@ void DamqRouter::step(Cycle now) {
   }
 
   // Re-grant freed slots (and any shared headroom arrivals opened up).
-  grant_credits();
+  grant_credits(static_cast<int>((now + 1) & (kNumLinkDirs - 1)));
 
 #ifndef NDEBUG
   int committed = 0;
@@ -153,7 +165,10 @@ void DamqRouter::save_state(SnapshotWriter& w) const {
     });
   }
   for (int o : outstanding_) w.i32(o);
-  w.i32(grant_rr_);
+  // The grant rotation's slot in the stream layout: the rotation is
+  // derived from the clock, so the slot is written as 0 and ignored on
+  // load, and the snapshot version stays.
+  w.i32(0);
   allocator_.save(w);
 }
 
@@ -167,7 +182,7 @@ void DamqRouter::load_state(SnapshotReader& r) {
     });
   }
   for (int& o : outstanding_) o = r.i32();
-  grant_rr_ = r.i32();
+  (void)r.i32();  // the retired grant-rotation field (see save_state)
   allocator_.load(r);
 }
 

@@ -74,6 +74,15 @@ class DamqRouter final : public Router {
     return outstanding_[static_cast<std::size_t>(d)];
   }
 
+  /// Activity gate (see router.hpp): every logical FIFO is empty.  Then
+  /// no head requests an output (the allocator's arbiters rotate only on
+  /// a grant) and there is no arrival, so no claim changes; and the
+  /// grant sweep is a fixpoint — the previous step (or the constructor)
+  /// ended with no port grantable, claims have not moved since, so it
+  /// grants nothing.  The sweep's round-robin start is derived from the
+  /// clock, not stored, so a skipped step leaves nothing stale.
+  [[nodiscard]] bool quiescent() const noexcept { return occupancy() == 0; }
+
   /// Credits an upstream may hold at once: enough to cover the
   /// grant-post + link round trip (credit usable next cycle, flit lands
   /// two cycles after the send) so a granted stream never stalls on
@@ -100,17 +109,20 @@ class DamqRouter final : public Router {
   }
   /// Claims beyond each live port's private region.
   [[nodiscard]] int shared_used() const noexcept;
-  [[nodiscard]] bool can_grant(int d) const noexcept;
   /// Posts every credit the invariant allows, round-robin across ports
-  /// so no input is structurally favoured when the pool runs low.
-  void grant_credits();
+  /// starting at `first` so no input is structurally favoured when the
+  /// pool runs low.  step(now) starts at (now + 1) % 4 and the
+  /// constructor at 0: one rotation per cycle, derived from the clock.
+  void grant_credits(int first);
 
   int depth_;   ///< per-port slots at the Buffered-4-equivalent budget
   int pool_;    ///< kNumLinkDirs * depth_
   int shared_;  ///< pool_ minus window() reserved slots per live input
+  /// Sized to the per-port claim bound window() + shared_: queued(d) <=
+  /// claim(d), and a claim past the private window draws on the shared
+  /// region, which holds shared_ slots in all.
   std::array<FixedQueue<Entry>, kNumLinkDirs> queues_;
   std::array<int, kNumLinkDirs> outstanding_{};
-  int grant_rr_ = 0;  ///< round-robin start of the grant sweep
   SeparableAllocator allocator_;
 };
 

@@ -394,19 +394,8 @@ Flit DXbarRouter::pop_buffer(std::size_t dir) {
 }
 
 void DXbarRouter::step(Cycle now) {
-  // Flit-free fast path: with no arrival registers occupied, no buffered
-  // flits, and nothing to inject, every operating mode is a no-op —
-  // candidate sets come out empty, fairness_.record(waiting=false, ...)
-  // does not change state, and the stop signals were already deasserted
-  // by the step that drained the last buffered flit (a full FIFO implies
-  // buffered_count_ > 0, so stop can never be pending while idle).
-  if (buffered_count_ == 0 && (source == nullptr || source->empty()) &&
-      !in[0].has_value() && !in[1].has_value() && !in[2].has_value() &&
-      !in[3].has_value()) {
-    return;
-  }
-
-  // On/off backpressure needs no per-step pass here: stop signals are
+  // The network's activity gate skips flit-free cycles (see quiescent());
+  // a direct call on one is a no-op as well.  On/off backpressure needs no per-step pass here: stop signals are
   // maintained on FIFO full/non-full transitions inside pop_buffer and
   // divert_to_buffer.
   const RouterFault& fault = env_.faults->at(id_);

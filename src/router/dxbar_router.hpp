@@ -51,6 +51,16 @@ class DXbarRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): no buffered flit.  Then, in every
+  /// operating mode, the candidate sets come out empty (so pick_output
+  /// never runs and no stall is counted), fairness_.record(waiting=false,
+  /// ...) returns without a change, and the stop signals are already
+  /// released — a full FIFO implies buffered_count_ > 0, and stop is
+  /// driven on full/non-full transitions.
+  [[nodiscard]] bool quiescent() const noexcept {
+    return buffered_count_ == 0;
+  }
+
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] int buffer_size(Direction d) const {
     return static_cast<int>(buffers_[port_index(d)].size());

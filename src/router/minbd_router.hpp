@@ -41,6 +41,11 @@ class MinBDRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): the side buffer is empty.  Then
+  /// nothing can be redirected, so with no arrival and an empty source
+  /// step() gathers no flit and returns before touching any state.
+  [[nodiscard]] bool quiescent() const noexcept { return side_.empty(); }
+
   /// Flits currently parked in the side buffer.
   [[nodiscard]] int side_occupancy() const noexcept {
     return static_cast<int>(side_.size());

@@ -9,10 +9,16 @@
 // Routers never talk to each other directly — all coupling goes through
 // the Channel objects (flits downstream, credits upstream), which is what
 // makes the two-phase cycle free of ordering artifacts.
+//
+// Activity gate: the network skips step() for a router whose input
+// registers and source queue are empty and whose concrete type reports
+// quiescent() — an inline, non-virtual predicate every design defines
+// next to a proof that its step() is then a no-op (DESIGN.md section 5).
 #pragma once
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/flit.hpp"
@@ -123,6 +129,19 @@ class Router {
   /// Drop notification sink (SCARAB only), wired by the network.
   NackSink* nack_sink = nullptr;
 
+  /// The owning shard's list of routers that ejected this cycle, wired
+  /// by the network; eject() registers this router on it once per cycle.
+  /// Null for standalone routers.
+  std::vector<NodeId>* ejection_list = nullptr;
+
+  /// No arrival in any input register and nothing waiting to inject: the
+  /// half of the activity gate that every design shares.
+  [[nodiscard]] bool inputs_idle() const noexcept {
+    static_assert(kNumLinkDirs == 4, "one test per link input register");
+    return !in[0].has_value() && !in[1].has_value() && !in[2].has_value() &&
+           !in[3].has_value() && (source == nullptr || source->empty());
+  }
+
   /// Run one cycle of switch allocation and traversal.
   virtual void step(Cycle now) = 0;
 
@@ -166,7 +185,12 @@ class Router {
     ch.bump_staged_hops();
   }
 
-  void eject(Flit f) { ejected.push_back(f); }
+  void eject(const Flit& f) {
+    if (ejected.empty() && ejection_list != nullptr) {
+      ejection_list->push_back(id_);
+    }
+    ejected.push_back(f);
+  }
 
   /// Return a buffer credit to the upstream router on the link the flit
   /// arrived over.

@@ -22,6 +22,11 @@ class ScarabRouter final : public Router {
 
   /// Bufferless: nothing is resident between cycles.
   [[nodiscard]] int occupancy() const override { return 0; }
+
+  /// Activity gate (see router.hpp): always.  With no arrival the sort
+  /// and port-assignment loops run over nothing, and the injection
+  /// branch needs a non-empty source, so step() changes no state.
+  [[nodiscard]] bool quiescent() const noexcept { return true; }
 };
 
 }  // namespace dxbar

@@ -137,6 +137,10 @@ void UnifiedRouter::step(Cycle now) {
     const UnifiedPortGrant& g = grants.port[static_cast<std::size_t>(p)];
     if (g.incoming_out >= 0 && g.buffered_out >= 0) ++dual_grant_cycles_;
 
+    // FIFO p changes only in this iteration (head pop, arrival push);
+    // its stop signal follows the full/non-full transition, if any.
+    const bool was_full =
+        p < kNumLinkDirs && buffers_[static_cast<std::size_t>(p)].full();
     const bool head_present =
         p == kNumPorts - 1
             ? have_injection
@@ -175,19 +179,16 @@ void UnifiedRouter::step(Cycle now) {
         }
         arrival.reset();
       }
+      // On/off flow control toward upstream, driven on transitions like
+      // DXbar's; the escape valve above covers the flits already in
+      // flight when a FIFO fills.
+      const bool full = buffers_[static_cast<std::size_t>(p)].full();
+      Channel* ch = env_.in_links[static_cast<std::size_t>(p)];
+      if (full != was_full && ch != nullptr) ch->set_stop(full);
     }
   }
 
   fairness_.record(waiting_exists, waiting_won, incoming_won);
-
-  // On/off flow control toward upstream; the escape valve above covers
-  // the flits already in flight when a FIFO fills.
-  for (int d = 0; d < kNumLinkDirs; ++d) {
-    Channel* ch = env_.in_links[static_cast<std::size_t>(d)];
-    if (ch != nullptr) {
-      ch->set_stop(buffers_[static_cast<std::size_t>(d)].full());
-    }
-  }
 }
 
 int UnifiedRouter::occupancy() const {

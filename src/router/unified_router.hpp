@@ -35,6 +35,13 @@ class UnifiedRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): every FIFO is empty.  Then no
+  /// candidate is valid, the allocator (stateless) grants nothing, no
+  /// head is present so no wait counter moves, fairness_.record(
+  /// waiting=false, ...) returns without a change, and no FIFO crosses
+  /// the full/non-full boundary that drives the stop signals.
+  [[nodiscard]] bool quiescent() const noexcept { return occupancy() == 0; }
+
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] int buffer_size(Direction d) const {
     return static_cast<int>(buffers_[port_index(d)].size());

@@ -38,6 +38,12 @@ class VcRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
+  /// Activity gate (see router.hpp): every VC is empty.  Then the VC
+  /// pickers see no eligible head (pick() is const), the allocator sees
+  /// all-zero requests (its arbiters rotate only on a grant), and there
+  /// is no arrival to write.
+  [[nodiscard]] bool quiescent() const noexcept { return occupancy() == 0; }
+
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] std::uint64_t speculation_failures() const {
     return speculation_failures_;

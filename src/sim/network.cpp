@@ -103,6 +103,8 @@ void Network::build() {
         static_cast<std::size_t>(part_.node_end(s) - part_.node_begin(s)) *
         16);
     shards_.back()->active_channels.reserve(channels_.size());
+    shards_.back()->ejections.reserve(
+        static_cast<std::size_t>(part_.node_end(s) - part_.node_begin(s)));
   }
   if (num_shards > 1) pool_ = std::make_unique<ShardPool>(num_shards);
 
@@ -159,6 +161,7 @@ void Network::build() {
     auto router = make_router(id, env);
     router->source = &sources_[id];
     router->nack_sink = &owner;
+    router->ejection_list = &owner.ejections;
     routers_.push_back(std::move(router));
   }
 
@@ -229,45 +232,52 @@ void Network::scarab_deliver_nacks() {
 }
 
 void Network::handle_ejections() {
-  for (auto& router : routers_) {
-    if (router->ejected.empty()) continue;
-    for (const Flit& f : router->ejected) {
-      assert(f.dst == router->id() && "flit ejected at wrong node");
-      ++flits_delivered_;
-      stats_.on_flit_ejected(f, now_);
-      if (tracer_ != nullptr) tracer_->on_flit_ejected(f, now_);
-      if (cfg_.design == RouterDesign::Scarab) {
-        --scarab_outstanding_[f.src];
+  for (auto& sp : shards_) {
+    for (const NodeId id : sp->ejections) {
+      Router& router = *routers_[id];
+      for (const Flit& f : router.ejected) {
+        assert(f.dst == id && "flit ejected at wrong node");
+        deliver_flit(f);
       }
-
-      Assembly& a = assembly_[f.packet];
-      if (a.received == 0) {
-        a.rec.id = f.packet;
-        a.rec.src = f.src;
-        a.rec.dst = f.dst;
-        a.rec.length = f.packet_len;
-        a.rec.cls = f.cls;
-        a.rec.created = f.born_at;
-        a.rec.injected = f.injected_at;
-      }
-      ++a.received;
-      a.rec.injected = std::min(a.rec.injected, f.injected_at);
-      a.rec.total_hops += f.hops;
-      a.rec.total_deflections += f.deflections;
-      a.rec.total_retransmits += f.retransmits;
-      if (a.received == f.packet_len) {
-        a.rec.completed = now_;
-        PacketRecord rec = a.rec;
-        assembly_.erase(f.packet);
-        ++packets_delivered_;
-        stats_.on_packet_completed(rec);
-        if (tracer_ != nullptr) tracer_->on_packet_completed(rec, now_);
-        if (workload_ != nullptr) {
-          workload_->on_packet_delivered(rec, now_, *this);
-        }
-      }
+      router.ejected.clear();
     }
-    router->ejected.clear();
+    sp->ejections.clear();
+  }
+}
+
+void Network::deliver_flit(const Flit& f) {
+  ++flits_delivered_;
+  stats_.on_flit_ejected(f, now_);
+  if (tracer_ != nullptr) tracer_->on_flit_ejected(f, now_);
+  if (cfg_.design == RouterDesign::Scarab) {
+    --scarab_outstanding_[f.src];
+  }
+
+  Assembly& a = assembly_[f.packet];
+  if (a.received == 0) {
+    a.rec.id = f.packet;
+    a.rec.src = f.src;
+    a.rec.dst = f.dst;
+    a.rec.length = f.packet_len;
+    a.rec.cls = f.cls;
+    a.rec.created = f.born_at;
+    a.rec.injected = f.injected_at;
+  }
+  ++a.received;
+  a.rec.injected = std::min(a.rec.injected, f.injected_at);
+  a.rec.total_hops += f.hops;
+  a.rec.total_deflections += f.deflections;
+  a.rec.total_retransmits += f.retransmits;
+  if (a.received == f.packet_len) {
+    a.rec.completed = now_;
+    PacketRecord rec = a.rec;
+    assembly_.erase(f.packet);
+    ++packets_delivered_;
+    stats_.on_packet_completed(rec);
+    if (tracer_ != nullptr) tracer_->on_packet_completed(rec, now_);
+    if (workload_ != nullptr) {
+      workload_->on_packet_delivered(rec, now_, *this);
+    }
   }
 }
 
@@ -277,11 +287,19 @@ namespace {
 /// routers of one network share the design, so the per-cycle loop
 /// dispatches once on the enum instead of once per router through the
 /// vtable; the virtual interface remains for extensions and tests.
+///
+/// Activity gate: a router with empty input registers, an empty source
+/// queue and a quiescent() concrete state is skipped — each design's
+/// quiescent() documents why its step() would then change nothing, so
+/// skipping is unobservable and per-cycle cost tracks the routers that
+/// hold or receive flits.
 template <typename ConcreteRouter>
 void step_range(std::vector<std::unique_ptr<Router>>& routers, NodeId begin,
                 NodeId end, Cycle now) {
   for (NodeId i = begin; i < end; ++i) {
-    static_cast<ConcreteRouter*>(routers[i].get())->step(now);
+    auto& r = static_cast<ConcreteRouter&>(*routers[i]);
+    if (r.inputs_idle() && r.quiescent()) continue;
+    r.step(now);
   }
 }
 

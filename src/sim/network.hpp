@@ -208,6 +208,10 @@ class Network final : public Injector {
     EnergyMeter energy;
     InjectionTally tally;
     std::vector<StagedDrop> drops;
+    /// Routers of this shard that ejected this cycle, in node order
+    /// (routers step in ascending node order and register on their
+    /// first ejection); capacity is the shard's node count.
+    std::vector<NodeId> ejections;
 
     // NackSink for this shard's routers: stage, commit later.
     void on_drop(const Flit& flit, NodeId at, Cycle now) override {
@@ -240,7 +244,12 @@ class Network final : public Injector {
   /// Serially folds per-shard effects (staged drops, energy counts,
   /// injection tallies) into the shared aggregates, in shard order.
   void commit_shard_effects();
+  /// Drains the per-shard ejection lists in shard order — node order —
+  /// so the cost tracks the routers that ejected, not the mesh size.
   void handle_ejections();
+  /// Counts one ejected flit and, with its packet's last flit,
+  /// completes the packet (stats, tracer, workload callback).
+  void deliver_flit(const Flit& f);
   void scarab_release_staging();
   void scarab_deliver_nacks();
   /// Slow structural scan backing the idle() counter identity in debug

@@ -131,7 +131,10 @@ void Network::load(SnapshotReader& r) {
   // on its owning shard's active list; drop the current lists first so
   // stale slots never linger.  Shard layout is structural, not part of
   // the stream — a snapshot taken at any shard count restores here.
-  for (auto& s : shards_) s->active_channels.clear();
+  for (auto& s : shards_) {
+    s->active_channels.clear();
+    s->ejections.clear();
+  }
   for (Channel& ch : channels_) ch.load(r);
 
   (void)r.expect_section(kSecRouters);

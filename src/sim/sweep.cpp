@@ -23,21 +23,17 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
     return;
   }
 
-  // Chunked atomic-counter work stealing: every worker claims a small
-  // contiguous run of indices per fetch_add.  Chunks amortize counter
-  // contention while staying small enough that imbalanced sweeps (the
-  // saturated high-load points run much longer than low-load ones)
-  // keep all workers busy until the range is exhausted.
+  // Atomic-counter work stealing, one index per claim: an item is a
+  // whole simulation point (tens of microseconds at the least), so one
+  // fetch_add per item costs nothing, and claiming singly keeps every
+  // worker busy until the range is exhausted — a claimed chunk of long
+  // points could leave the other workers idle at the end.
   std::atomic<std::size_t> next{0};
-  const std::size_t chunk = std::max<std::size_t>(
-      1, n / (static_cast<std::size_t>(workers) * 8));
   const auto work = [&] {
     for (;;) {
-      const std::size_t begin =
-          next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(begin + chunk, n);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      fn(i);
     }
   };
 
@@ -205,11 +201,26 @@ std::vector<RunStats> run_warm_sweep(const std::vector<SimConfig>& configs,
       threads);
 
   // Phase 2: one work item per config — a fork of its group's warm
-  // snapshot, or a cold run.
+  // snapshot, or a cold run — visited longest-expected first so no
+  // worker picks up a long point when the rest are about to finish:
+  // closed-loop points, then open-loop points by descending load.
+  // Results stay addressed by config index.
+  std::vector<std::size_t> order(configs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&configs](std::size_t a, std::size_t b) {
+                     const SimConfig& x = configs[a];
+                     const SimConfig& y = configs[b];
+                     const bool cx = x.workload == WorkloadKind::ClosedLoop;
+                     const bool cy = y.workload == WorkloadKind::ClosedLoop;
+                     if (cx != cy) return cx;
+                     return x.offered_load > y.offered_load;
+                   });
   std::vector<RunStats> results(configs.size());
   parallel_for(
       configs.size(),
-      [&](std::size_t i) {
+      [&](std::size_t k) {
+        const std::size_t i = order[k];
         const std::ptrdiff_t g = group_index[i];
         results[i] =
             g < 0 ? run_open_loop(configs[i])

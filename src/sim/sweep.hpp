@@ -99,10 +99,10 @@ std::vector<RunStats> run_warm_sweep(const std::vector<SimConfig>& configs,
                                      WarmupCache* cache = nullptr);
 
 /// Generic parallel map over an index range [0, n): `fn(i)` must be
-/// thread-safe and is invoked exactly once per index.  Work is claimed
-/// in small chunks off a shared atomic counter (work stealing), so
-/// imbalanced ranges keep every worker busy; the result is independent
-/// of the thread count.
+/// thread-safe and is invoked exactly once per index.  Workers claim
+/// one index at a time off a shared atomic counter (work stealing), in
+/// ascending order, so imbalanced ranges keep every worker busy; the
+/// result is independent of the thread count.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   unsigned threads = 0);
 

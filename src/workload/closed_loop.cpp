@@ -1,10 +1,47 @@
 #include "workload/closed_loop.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "snapshot/serialize.hpp"
 
 namespace dxbar {
+namespace {
+
+/// A transaction table in ascending packet-id order, so the byte stream
+/// depends on the table's contents, not on its slot layout.
+template <typename Txn>
+void save_txns(SnapshotWriter& w, const PacketMap<Txn>& table) {
+  std::vector<std::pair<PacketId, Txn>> entries;
+  entries.reserve(table.size());
+  table.for_each([&entries](PacketId id, const Txn& txn) {
+    entries.emplace_back(id, txn);
+  });
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w.u64(entries.size());
+  for (const auto& [id, txn] : entries) {
+    w.u64(id);
+    w.u32(txn.client);
+    w.u64(txn.issued);
+  }
+}
+
+template <typename Txn>
+void load_txns(SnapshotReader& r, PacketMap<Txn>& table) {
+  table.clear();
+  const std::uint64_t n = r.count();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const PacketId id = r.u64();
+    if (id == 0) throw SnapshotError("closed-loop transaction id 0");
+    Txn& txn = table[id];
+    txn.client = r.u32();
+    txn.issued = r.u64();
+  }
+}
+
+}  // namespace
 
 ClosedLoopWorkload::ClosedLoopWorkload(const SimConfig& cfg, const Mesh& mesh)
     : mesh_(mesh),
@@ -58,7 +95,7 @@ void ClosedLoopWorkload::begin_cycle(Cycle now, Injector& inject) {
     const PacketId id = inject.inject_packet(p.server, p.client,
                                              p.length, now,
                                              MsgClass::Reply);
-    replies_.emplace(id, Txn{p.client, p.issued});
+    replies_[id] = Txn{p.client, p.issued};
   }
 
   // New requests: each client tops up to its MLP limit.
@@ -75,7 +112,7 @@ void ClosedLoopWorkload::begin_cycle(Cycle now, Injector& inject) {
       const int req_len = is_read ? request_length_ : reply_length_;
       const PacketId id = inject.inject_packet(src, dst, req_len,
                                                now, MsgClass::Request);
-      requests_.emplace(id, Txn{src, now});
+      requests_[id] = Txn{src, now};
       ++outstanding_[src];
       ++requests_issued_;
       if (!is_read) {
@@ -104,8 +141,8 @@ void ClosedLoopWorkload::on_packet_delivered(const PacketRecord& rec,
                                              Cycle now, Injector& inject) {
   (void)inject;
   if (static_cast<MsgClass>(rec.cls) == MsgClass::Request) {
-    const auto it = requests_.find(rec.id);
-    if (it == requests_.end()) return;  // not ours (mixed workloads)
+    const Txn* txn = requests_.find(rec.id);
+    if (txn == nullptr) return;  // not ours (mixed workloads)
     // Reply length is inferred from the request's shape: a short (read)
     // request is answered with the data line, a long (write) request
     // with a short ack.  When the two lengths coincide the inference is
@@ -113,14 +150,13 @@ void ClosedLoopWorkload::on_packet_delivered(const PacketRecord& rec,
     const int reply_len =
         rec.length == request_length_ ? reply_length_ : request_length_;
     pending_.push_back(PendingReply{now + service_delay_, rec.dst,
-                                    it->second.client, it->second.issued,
-                                    reply_len});
-    requests_.erase(it);
+                                    txn->client, txn->issued, reply_len});
+    requests_.erase(rec.id);
   } else if (static_cast<MsgClass>(rec.cls) == MsgClass::Reply) {
-    const auto it = replies_.find(rec.id);
-    if (it == replies_.end()) return;
-    record_reply(it->second, now);
-    replies_.erase(it);
+    const Txn* txn = replies_.find(rec.id);
+    if (txn == nullptr) return;
+    record_reply(*txn, now);
+    replies_.erase(rec.id);
   }
 }
 
@@ -147,19 +183,8 @@ void ClosedLoopWorkload::save_state(SnapshotWriter& w) const {
   w.u64(replies_completed_);
   w.u64(outstanding_.size());
   for (int o : outstanding_) w.i32(o);
-  // std::map iterates in key order, so the byte stream is deterministic.
-  w.u64(requests_.size());
-  for (const auto& [id, txn] : requests_) {
-    w.u64(id);
-    w.u32(txn.client);
-    w.u64(txn.issued);
-  }
-  w.u64(replies_.size());
-  for (const auto& [id, txn] : replies_) {
-    w.u64(id);
-    w.u32(txn.client);
-    w.u64(txn.issued);
-  }
+  save_txns(w, requests_);
+  save_txns(w, replies_);
   w.u64(pending_.size());
   for (const PendingReply& p : pending_) {
     w.u64(p.ready);
@@ -182,24 +207,8 @@ void ClosedLoopWorkload::load_state(SnapshotReader& r) {
     throw SnapshotError("closed-loop workload node count mismatch");
   }
   for (int& o : outstanding_) o = r.i32();
-  requests_.clear();
-  const std::uint64_t nreq = r.count();
-  for (std::uint64_t i = 0; i < nreq; ++i) {
-    const PacketId id = r.u64();
-    Txn t;
-    t.client = r.u32();
-    t.issued = r.u64();
-    requests_.emplace(id, t);
-  }
-  replies_.clear();
-  const std::uint64_t nrep = r.count();
-  for (std::uint64_t i = 0; i < nrep; ++i) {
-    const PacketId id = r.u64();
-    Txn t;
-    t.client = r.u32();
-    t.issued = r.u64();
-    replies_.emplace(id, t);
-  }
+  load_txns(r, requests_);
+  load_txns(r, replies_);
   pending_.clear();
   const std::uint64_t npend = r.count();
   for (std::uint64_t i = 0; i < npend; ++i) {

@@ -36,11 +36,11 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "traffic/traffic_gen.hpp"
 #include "common/latency_histogram.hpp"
+#include "common/packet_map.hpp"
 
 namespace dxbar {
 
@@ -112,8 +112,8 @@ class ClosedLoopWorkload final : public WorkloadModel {
   Rng rng_;
   bool enabled_ = true;
   std::vector<int> outstanding_;          ///< per client
-  std::map<PacketId, Txn> requests_;      ///< request packet -> txn
-  std::map<PacketId, Txn> replies_;       ///< reply packet -> txn
+  PacketMap<Txn> requests_;               ///< request packet -> txn
+  PacketMap<Txn> replies_;                ///< reply packet -> txn
   std::deque<PendingReply> pending_;      ///< FIFO: constant service delay
   LatencyHistogram hist_;                 ///< window-gated by issue cycle
   std::uint64_t requests_issued_ = 0;

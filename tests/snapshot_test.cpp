@@ -413,6 +413,36 @@ TEST(WarmSweep, BitIdenticalToColdSweep) {
   }
 }
 
+TEST(WarmSweep, LongestFirstOrderKeepsResultsIndexed) {
+  // Phase 2 visits closed-loop points first, then open-loop points by
+  // descending load; listing them the other way round makes that order
+  // a full permutation of the input.  Results must still land at their
+  // config's index, bit-identical to each point's cold run.
+  std::vector<SimConfig> configs;
+  for (double load : {0.05, 0.15, 0.25}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      SimConfig cfg = small_cfg(RouterDesign::DXbar);
+      cfg.offered_load = load;
+      cfg.warmup_load = 0.15;
+      cfg.measure_seed = seed;
+      configs.push_back(cfg);
+    }
+  }
+  for (std::uint64_t seed : {1u, 2u}) {
+    SimConfig cfg = small_cfg(RouterDesign::DXbar);
+    cfg.workload = WorkloadKind::ClosedLoop;
+    cfg.measure_seed = seed;
+    configs.push_back(cfg);
+  }
+
+  const auto warm = run_warm_sweep(configs, 2);
+  ASSERT_EQ(warm.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(stats_bytes(warm[i]), stats_bytes(run_open_loop(configs[i])))
+        << "point " << i;
+  }
+}
+
 TEST(WarmSweep, SharedWarmupActuallyShares) {
   // Distinct warmup_loads must land in distinct groups — otherwise the
   // fork would silently replay the wrong warmup traffic.
