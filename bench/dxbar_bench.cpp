@@ -44,7 +44,9 @@ void print_usage(std::FILE* to) {
       "  --json DIR      write DIR/<exp>.json (schema v%d)\n"
       "  --resume DIR    run grids as crash-resumable campaigns in DIR\n"
       "  key=value       SimConfig override (applied after --quick;\n"
-      "                  overrides always win regardless of order)\n",
+      "                  overrides always win regardless of order;\n"
+      "                  packet_length in [1, 255], warmup + measure +\n"
+      "                  drain < 2^32 cycles)\n",
       kJsonSchemaVersion);
 }
 

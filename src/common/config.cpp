@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/flit.hpp"
+
 namespace dxbar {
 namespace {
 
@@ -28,7 +30,11 @@ bool parse_double(std::string_view v, double& out) {
   return true;
 }
 
-bool parse_int(std::string_view v, long long& out) {
+/// Parses an integer straight into the field's own type, so a value it
+/// cannot hold (a negative cycle count, 2^32 + 1 as an int) is a bad
+/// value rather than a silent wrap; `out` is untouched on failure.
+template <typename T>
+bool parse_int(std::string_view v, T& out) {
   auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   return ec == std::errc{} && p == v.data() + v.size();
 }
@@ -123,13 +129,24 @@ std::string SimConfig::validate() const {
     return "warmup_load must lie in [0, 1] (or be negative for "
            "\"same as offered_load\")";
   }
-  if (packet_length < 1) return "packet_length must be >= 1";
+  if (packet_length < 1 || packet_length > kMaxPacketLength) {
+    return "packet_length must lie in [1, 255]";
+  }
+  // Flits stamp cycles as u32, so a run may not reach kCycleLimit (each
+  // term is bounded first so the sum cannot wrap).
+  if (warmup_cycles > kCycleLimit || measure_cycles > kCycleLimit ||
+      drain_cycles > kCycleLimit ||
+      warmup_cycles + measure_cycles + drain_cycles > kCycleLimit) {
+    return "warmup_cycles + measure_cycles + drain_cycles must be < 2^32";
+  }
   if (flit_bits < 1) return "flit_bits must be >= 1";
   if (tech_node != 65 && tech_node != 32 && tech_node != 16) {
     return "tech_node must be one of 65, 32, 16 (nm)";
   }
   if (mlp < 1) return "mlp must be >= 1";
-  if (request_length < 1) return "request_length must be >= 1";
+  if (request_length < 1 || request_length > kMaxPacketLength) {
+    return "request_length must lie in [1, 255]";
+  }
   if (hotspot_fraction < 0.0 || hotspot_fraction > 1.0) {
     return "hotspot_fraction must lie in [0, 1]";
   }
@@ -226,14 +243,11 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
 
   auto bad = [&] { return "bad value for '" + key + "'"; };
 
-  long long i = 0;
   double d = 0.0;
   if (key == "width") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mesh_width = static_cast<int>(i);
+    if (!parse_int(val, cfg.mesh_width)) return bad();
   } else if (key == "height") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mesh_height = static_cast<int>(i);
+    if (!parse_int(val, cfg.mesh_height)) return bad();
   } else if (key == "topology") {
     const std::string t = lower(val);
     if (t == "torus") {
@@ -250,17 +264,13 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
   } else if (key == "pattern") {
     if (!parse_pattern(val, cfg.pattern)) return bad();
   } else if (key == "buffer_depth") {
-    if (!parse_int(val, i)) return bad();
-    cfg.buffer_depth = static_cast<int>(i);
+    if (!parse_int(val, cfg.buffer_depth)) return bad();
   } else if (key == "fairness_threshold") {
-    if (!parse_int(val, i)) return bad();
-    cfg.fairness_threshold = static_cast<int>(i);
+    if (!parse_int(val, cfg.fairness_threshold)) return bad();
   } else if (key == "stall_escape") {
-    if (!parse_int(val, i)) return bad();
-    cfg.stall_escape_delay = static_cast<int>(i);
+    if (!parse_int(val, cfg.stall_escape_delay)) return bad();
   } else if (key == "num_vcs") {
-    if (!parse_int(val, i)) return bad();
-    cfg.num_vcs = static_cast<int>(i);
+    if (!parse_int(val, cfg.num_vcs)) return bad();
   } else if (key == "workload") {
     const std::string w = lower(val);
     if (w == "synthetic" || w == "open") {
@@ -271,14 +281,11 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
       return bad();
     }
   } else if (key == "mlp") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mlp = static_cast<int>(i);
+    if (!parse_int(val, cfg.mlp)) return bad();
   } else if (key == "service_delay") {
-    if (!parse_int(val, i)) return bad();
-    cfg.service_delay = static_cast<Cycle>(i);
+    if (!parse_int(val, cfg.service_delay)) return bad();
   } else if (key == "request_length") {
-    if (!parse_int(val, i)) return bad();
-    cfg.request_length = static_cast<int>(i);
+    if (!parse_int(val, cfg.request_length)) return bad();
   } else if (key == "hotspot_fraction") {
     if (!parse_double(val, d)) return bad();
     cfg.hotspot_fraction = d;
@@ -292,23 +299,17 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
     if (!parse_double(val, d)) return bad();
     cfg.warmup_load = d;
   } else if (key == "packet_length") {
-    if (!parse_int(val, i)) return bad();
-    cfg.packet_length = static_cast<int>(i);
+    if (!parse_int(val, cfg.packet_length)) return bad();
   } else if (key == "flit_bits") {
-    if (!parse_int(val, i)) return bad();
-    cfg.flit_bits = static_cast<int>(i);
+    if (!parse_int(val, cfg.flit_bits)) return bad();
   } else if (key == "tech") {
-    if (!parse_int(val, i)) return bad();
-    cfg.tech_node = static_cast<int>(i);
+    if (!parse_int(val, cfg.tech_node)) return bad();
   } else if (key == "warmup") {
-    if (!parse_int(val, i)) return bad();
-    cfg.warmup_cycles = static_cast<Cycle>(i);
+    if (!parse_int(val, cfg.warmup_cycles)) return bad();
   } else if (key == "measure") {
-    if (!parse_int(val, i)) return bad();
-    cfg.measure_cycles = static_cast<Cycle>(i);
+    if (!parse_int(val, cfg.measure_cycles)) return bad();
   } else if (key == "drain") {
-    if (!parse_int(val, i)) return bad();
-    cfg.drain_cycles = static_cast<Cycle>(i);
+    if (!parse_int(val, cfg.drain_cycles)) return bad();
   } else if (key == "faults") {
     if (!parse_double(val, d)) return bad();
     cfg.fault_fraction = d;
@@ -316,17 +317,13 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
     if (!parse_double(val, d)) return bad();
     cfg.link_fault_fraction = d;
   } else if (key == "fault_onset_spread") {
-    if (!parse_int(val, i)) return bad();
-    cfg.fault_onset_spread = static_cast<Cycle>(i);
+    if (!parse_int(val, cfg.fault_onset_spread)) return bad();
   } else if (key == "shards") {
-    if (!parse_int(val, i)) return bad();
-    cfg.shards = static_cast<int>(i);
+    if (!parse_int(val, cfg.shards)) return bad();
   } else if (key == "seed") {
-    if (!parse_int(val, i)) return bad();
-    cfg.seed = static_cast<std::uint64_t>(i);
+    if (!parse_int(val, cfg.seed)) return bad();
   } else if (key == "measure_seed") {
-    if (!parse_int(val, i)) return bad();
-    cfg.measure_seed = static_cast<std::uint64_t>(i);
+    if (!parse_int(val, cfg.measure_seed)) return bad();
   } else {
     return "unknown key '" + key + "'";
   }

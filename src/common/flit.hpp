@@ -7,25 +7,42 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/types.hpp"
 
 namespace dxbar {
 
+/// Cycle stamp carried inside a flit.  Narrower than Cycle so a Flit
+/// fits half a cache line; the bounds below keep every stamp exact.
+using FlitCycle = std::uint32_t;
+
 /// Sentinel for "not yet injected into the network" (still queued at the
 /// source); the injection queue stamps the real cycle on first pop.
-inline constexpr Cycle kNotInjected = ~Cycle{0};
+inline constexpr FlitCycle kNotInjected = ~FlitCycle{0};
+
+/// First cycle a network may not simulate: a flit stamped there would
+/// read as kNotInjected.  Network::step throws ClockOverflow instead of
+/// running it, and SimConfig::validate keeps a run's windows below it.
+inline constexpr Cycle kCycleLimit = kNotInjected;
+
+/// Longest packet a Flit can describe (seq and packet_len are u8).
+/// SimConfig::validate, Network::inject_packet and the trace readers
+/// reject anything longer.
+inline constexpr int kMaxPacketLength = 255;
 
 /// A single 128-bit flow-control unit.  The payload itself is not
 /// simulated; the struct carries the metadata the routers switch on.
+/// Every link hop copies one, so it is kept at 32 bytes (DESIGN.md §5,
+/// "Hot-path data layout").
 struct Flit {
   PacketId packet = 0;        ///< owning packet id
-  std::uint16_t seq = 0;      ///< flit index within the packet
-  std::uint16_t packet_len = 1;  ///< total flits in the packet
+  FlitCycle born_at = 0;      ///< cycle the packet was created (age basis)
+  FlitCycle injected_at = 0;  ///< cycle the flit entered the network
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  Cycle injected_at = 0;      ///< cycle the flit entered the network
-  Cycle born_at = 0;          ///< cycle the packet was created (age basis)
+  std::uint8_t seq = 0;         ///< flit index within the packet
+  std::uint8_t packet_len = 1;  ///< total flits in the packet
   std::uint8_t vc = 0;            ///< virtual channel (VC router only)
   std::uint8_t cls = 0;           ///< MsgClass (replies beat requests)
   std::uint8_t deflections = 0;   ///< times this flit was deflected
@@ -47,6 +64,11 @@ struct Flit {
     return seq + 1 == packet_len;
   }
 };
+
+static_assert(sizeof(Flit) == 32, "a Flit is copied on every hop; keep it "
+                                  "at 32 bytes");
+static_assert(std::is_trivially_copyable_v<Flit>,
+              "links and queues move Flits as raw bytes");
 
 /// Record of a fully reassembled packet, produced by the ejection-side
 /// MSHR model and consumed by the statistics collector.

@@ -1,7 +1,7 @@
 // Tiny fixed-capacity inline vector for hot-path port lists (no heap).
 //
 // The N slots are raw storage: a SmallVec<Flit, 5> on a router's stack
-// costs one size write, not 240 zeroed bytes, and only pushed elements
+// costs one size write, not 160 zeroed bytes, and only pushed elements
 // are ever read.  T must therefore be trivially copyable.
 #pragma once
 

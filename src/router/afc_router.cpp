@@ -36,12 +36,15 @@ AfcRouter::AfcRouter(NodeId id, const RouterEnv& env)
 
 std::optional<Direction> AfcRouter::pick_output(const Flit& f,
                                                 AllocState& st) {
-  for (Direction d : routes(f.dst)) {
-    const int i = port_index(d);
-    if (st.taken[static_cast<std::size_t>(i)]) continue;
-    if (d != Direction::Local && !can_send(d)) continue;
-    st.taken[static_cast<std::size_t>(i)] = true;
-    return d;
+  const RouteSet r = routes(f.dst);
+  const unsigned free = r.mask() & st.sendable & ~st.taken;
+  if (free == 0) return std::nullopt;
+  for (Direction d : r) {
+    const unsigned bit = 1u << port_index(d);
+    if (free & bit) {
+      st.taken |= bit;
+      return d;
+    }
   }
   return std::nullopt;
 }
@@ -49,12 +52,13 @@ std::optional<Direction> AfcRouter::pick_output(const Flit& f,
 void AfcRouter::route_or_deflect(Flit f, AllocState& st) {
   const auto ranking =
       deflection_order(f, f.packet * 0x9E3779B97F4A7C15ULL + f.hops);
+  const unsigned free = st.sendable & ~st.taken;
+  const unsigned prog = progressive_dirs(f.dst).mask();
   for (Direction d : ranking) {
-    const int i = port_index(d);
-    if (st.taken[static_cast<std::size_t>(i)]) continue;
-    if (!link_alive(d) || !can_send(d)) continue;
-    st.taken[static_cast<std::size_t>(i)] = true;
-    if (!progressive_dirs(f.dst).contains(d)) ++f.deflections;
+    const unsigned bit = 1u << port_index(d);
+    if (!(free & bit)) continue;
+    st.taken |= bit;
+    if (!(prog & bit)) ++f.deflections;
     env_.energy->crossbar_traversal();
     send_link(d, f);
     return;
@@ -82,7 +86,7 @@ void AfcRouter::step_bufferless(Cycle now) {
   insertion_sort(flits,
                  [](const Flit& a, const Flit& b) { return a.older_than(b); });
 
-  AllocState st;
+  AllocState st{0, sendable_mask()};
   bool local_taken = false;
   for (Flit& f : flits) {
     if (f.dst == id_ && !local_taken) {
@@ -97,7 +101,7 @@ void AfcRouter::step_bufferless(Cycle now) {
 
 void AfcRouter::step_buffered(Cycle now) {
   (void)now;
-  AllocState st;
+  AllocState st{0, sendable_mask()};
 
   // 1. Arrivals that cannot be absorbed must leave now (mode-transition
   //    safety: AFC's lossless fallback is deflection).
@@ -173,6 +177,7 @@ void AfcRouter::step(Cycle now) {
   }
   arrival_ema_ =
       arrival_ema_ * (1.0 - kEmaAlpha) + static_cast<double>(arrivals) * kEmaAlpha;
+  if (arrival_ema_ < kEmaFlush) arrival_ema_ = 0.0;
 
   if (!buffered_mode_ && arrival_ema_ > kBufferOn) {
     buffered_mode_ = true;

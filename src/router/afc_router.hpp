@@ -31,9 +31,16 @@ class AfcRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
-  /// Activity gate (see router.hpp): never.  The arrival-rate EMA is
-  /// updated on every step, arrivals or not, so no step is a no-op.
-  [[nodiscard]] bool quiescent() const noexcept { return false; }
+  /// Activity gate (see router.hpp): bufferless mode with the
+  /// arrival-rate EMA flushed to exactly 0.  With no arrival the EMA
+  /// update then computes 0 * (1 - alpha) + 0 = 0, the mode test
+  /// (0 > kBufferOn) fails, and the bufferless step gathers no flit —
+  /// and bufferless mode holds no buffered flit, so there is nothing else
+  /// to move.  The flush (see step()) is what lets an idle EMA reach 0
+  /// instead of decaying into subnormals forever.
+  [[nodiscard]] bool quiescent() const noexcept {
+    return !buffered_mode_ && arrival_ema_ == 0.0;
+  }
 
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] bool buffered_mode() const { return buffered_mode_; }
@@ -44,9 +51,17 @@ class AfcRouter final : public Router {
   static constexpr double kBufferOn = 1.75;
   static constexpr double kBufferOff = 1.0;
   static constexpr double kEmaAlpha = 1.0 / 32.0;
+  /// EMA values below 2^-64 are flushed to 0.  That is under half an ulp
+  /// of k * kEmaAlpha for any k >= 1, so the next arrival yields exactly
+  /// the value an unflushed EMA would, and it is far below both
+  /// thresholds, so no mode decision changes either.
+  static constexpr double kEmaFlush = 0x1p-64;
 
+  /// Output ports already claimed this cycle, and the ports that could
+  /// send at the start of the step (see Router::sendable_mask).
   struct AllocState {
-    std::array<bool, kNumPorts> taken{};
+    unsigned taken = 0;
+    unsigned sendable;
   };
 
   void step_bufferless(Cycle now);

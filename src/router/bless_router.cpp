@@ -41,7 +41,7 @@ void BlessRouter::step(Cycle now) {
                  [](const Flit& a, const Flit& b) { return a.older_than(b); });
 
   bool local_taken = false;
-  std::array<bool, kNumLinkDirs> link_taken{};
+  unsigned free = live_mask();  // live links not yet claimed this cycle
   for (Flit& f : flits) {
     env_.energy->crossbar_traversal();
 
@@ -55,13 +55,13 @@ void BlessRouter::step(Cycle now) {
     // existing link; a non-productive assignment is a deflection.
     const auto ranking =
         deflection_order(f, f.packet * 0x9E3779B97F4A7C15ULL + now);
+    const unsigned prog = progressive_dirs(f.dst).mask();
     bool assigned = false;
     for (Direction d : ranking) {
-      const int di = port_index(d);
-      if (link_taken[static_cast<std::size_t>(di)]) continue;
-      if (!link_alive(d)) continue;
-      link_taken[static_cast<std::size_t>(di)] = true;
-      if (!progressive_dirs(f.dst).contains(d)) ++f.deflections;
+      const unsigned bit = 1u << port_index(d);
+      if (!(free & bit)) continue;
+      free &= ~bit;
+      if (!(prog & bit)) ++f.deflections;
       send_link(d, f);
       assigned = true;
       break;

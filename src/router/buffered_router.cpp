@@ -24,14 +24,11 @@ void BufferedRouter::step(Cycle now) {
   // what removes head-of-line blocking relative to Buffered 4.
   const int inj_input = kNumLinkDirs;  // allocator input index of the PE port
 
+  // Every request is taken before the first send, so one sendable
+  // snapshot serves the whole step.
+  const unsigned ok = sendable_mask();
   auto request_mask_for = [&](const Flit& f) {
-    std::uint32_t mask = 0;
-    for (Direction d : routes(f.dst)) {
-      if (d == Direction::Local || can_send(d)) {
-        mask |= 1u << port_index(d);
-      }
-    }
-    return mask;
+    return static_cast<std::uint32_t>(routes(f.dst).mask() & ok);
   };
 
   // ---- per-input-port requests: union over eligible lane heads --------

@@ -82,14 +82,11 @@ void DamqRouter::step(Cycle now) {
   // cycle become eligible the next.
   const int inj_input = kNumLinkDirs;
 
+  // Every request is taken before the first send, so one sendable
+  // snapshot serves the whole step.
+  const unsigned ok = sendable_mask();
   auto request_mask_for = [&](const Flit& f) {
-    std::uint32_t mask = 0;
-    for (Direction d : routes(f.dst)) {
-      if (d == Direction::Local || can_send(d)) {
-        mask |= 1u << port_index(d);
-      }
-    }
-    return mask;
+    return static_cast<std::uint32_t>(routes(f.dst).mask() & ok);
   };
 
   std::array<std::uint32_t, kNumPorts> requests{};

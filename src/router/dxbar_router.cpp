@@ -38,17 +38,18 @@ DXbarRouter::DXbarRouter(NodeId id, const RouterEnv& env)
 std::optional<Direction> DXbarRouter::pick_output(const Flit& f,
                                                   AllocState& st,
                                                   bool ignore_stop) {
-  for (Direction d : routes(f.dst)) {
-    const int i = port_index(d);
-    if (st.taken[static_cast<std::size_t>(i)]) {
-      continue;
+  const RouteSet r = routes(f.dst);
+  const unsigned free =
+      r.mask() & ~st.taken &
+      (ignore_stop ? st.sendable_ignoring_stop : st.sendable);
+  if (free != 0) {
+    for (Direction d : r) {
+      const unsigned bit = 1u << port_index(d);
+      if (free & bit) {
+        st.taken |= bit;
+        return d;
+      }
     }
-    if (d != Direction::Local &&
-        !(ignore_stop ? can_send_ignoring_stop(d) : can_send(d))) {
-      continue;
-    }
-    st.taken[static_cast<std::size_t>(i)] = true;
-    return d;
   }
   ++contention_stalls_;
   return std::nullopt;
@@ -78,12 +79,13 @@ void DXbarRouter::deflect(Flit f, AllocState& st, bool via_primary) {
   // flits are placed before any lower-priority phase can claim ports.
   const auto ranking =
       deflection_order(f, f.packet * 0x9E3779B97F4A7C15ULL + f.hops);
+  const unsigned free = st.sendable_ignoring_stop & ~st.taken;
+  const unsigned prog = progressive_dirs(f.dst).mask();
   for (Direction d : ranking) {
-    const int i = port_index(d);
-    if (st.taken[static_cast<std::size_t>(i)]) continue;
-    if (!link_alive(d) || !can_send_ignoring_stop(d)) continue;
-    st.taken[static_cast<std::size_t>(i)] = true;
-    if (!progressive_dirs(f.dst).contains(d)) ++f.deflections;
+    const unsigned bit = 1u << port_index(d);
+    if (!(free & bit)) continue;
+    st.taken |= bit;
+    if (!(prog & bit)) ++f.deflections;
     env_.energy->crossbar_traversal();
     if (via_primary) {
       ++primary_traversals_;
@@ -155,7 +157,7 @@ bool DXbarRouter::serve_waiting(AllocState& st, bool via_primary) {
 
 void DXbarRouter::step_normal(Cycle now, bool secondary_usable) {
   (void)now;
-  AllocState st;
+  AllocState st = begin_allocation();
 
   // Incoming flits split by whether their FIFO could still absorb them:
   // a flit with a full FIFO must win *some* port this cycle (deflection
@@ -234,7 +236,7 @@ void DXbarRouter::step_normal(Cycle now, bool secondary_usable) {
 
 void DXbarRouter::step_buffered_only(Cycle now) {
   (void)now;
-  AllocState st;
+  AllocState st = begin_allocation();
 
   // 1. Incoming flits that cannot be absorbed must win a port now; with
   //    the primary crossbar dead they traverse the secondary (register
@@ -281,7 +283,7 @@ void DXbarRouter::step_buffered_only(Cycle now) {
 
 void DXbarRouter::step_primary_only(Cycle now) {
   (void)now;
-  AllocState st;
+  AllocState st = begin_allocation();
 
   // The 2x2 steering crossbars admit one flit per input line into the
   // primary crossbar: normally the incoming flit; the FIFO head when the

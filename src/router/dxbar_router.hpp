@@ -83,10 +83,17 @@ class DXbarRouter final : public Router {
   }
 
  private:
-  /// Output ports already claimed this cycle (links also need credits).
+  /// Output ports already claimed this cycle, and the ports that could
+  /// send at the start of the step (see Router::sendable_mask).
   struct AllocState {
-    std::array<bool, kNumPorts> taken{};
+    unsigned taken = 0;
+    unsigned sendable;
+    unsigned sendable_ignoring_stop;
   };
+
+  [[nodiscard]] AllocState begin_allocation() const noexcept {
+    return {0, sendable_mask(), sendable_ignoring_stop_mask()};
+  }
 
   /// First free, sendable port out of the flit's route set, or nullopt.
   /// `ignore_stop` lets liveness-critical flits (must-win arrivals,

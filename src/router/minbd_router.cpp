@@ -61,7 +61,7 @@ void MinBDRouter::step(Cycle now) {
 
   bool local_taken = false;
   bool captured = false;
-  std::array<bool, kNumLinkDirs> link_taken{};
+  unsigned free = live_mask();  // live links not yet claimed this cycle
   for (Flit& f : flits) {
     env_.energy->crossbar_traversal();
 
@@ -73,17 +73,17 @@ void MinBDRouter::step(Cycle now) {
 
     const auto ranking =
         deflection_order(f, f.packet * 0x9E3779B97F4A7C15ULL + now);
+    const unsigned prog = progressive_dirs(f.dst).mask();
     bool assigned = false;
     for (Direction d : ranking) {
-      const int di = port_index(d);
-      if (link_taken[static_cast<std::size_t>(di)]) continue;
-      if (!link_alive(d)) continue;
+      const unsigned bit = 1u << port_index(d);
+      if (!(free & bit)) continue;
 
       // Buffer capture: a flit about to take a *non-productive* port is
       // parked in the side buffer instead (one per cycle, never golden,
       // never the flit just redirected).  The port it would have taken
       // stays free for later flits in the sort order.
-      if (!progressive_dirs(f.dst).contains(d)) {
+      if (!(prog & bit)) {
         if (!captured && !side_.full() && !is_golden(f, now) &&
             !(f.packet == redirected_pkt && f.seq == redirected_seq)) {
           captured = true;
@@ -94,7 +94,7 @@ void MinBDRouter::step(Cycle now) {
         }
         ++f.deflections;
       }
-      link_taken[static_cast<std::size_t>(di)] = true;
+      free &= ~bit;
       send_link(d, f);
       assigned = true;
       break;

@@ -61,7 +61,7 @@ class InjectionQueue {
   Flit pop_front() {
     Flit f = q_.pop_front();
     if (f.injected_at == kNotInjected && clock_ != nullptr) {
-      f.injected_at = *clock_;
+      f.injected_at = static_cast<FlitCycle>(*clock_);
       if (tally_ != nullptr) tally_->on_flit_injected(f, *clock_);
     }
     return f;
@@ -161,19 +161,42 @@ class Router {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
  protected:
-  /// True when an output link exists in `d` and has a credit + free slot.
-  [[nodiscard]] bool can_send(Direction d) const {
-    Channel* ch = env_.out_links[port_index(d)];
-    return ch != nullptr && ch->can_send();
+  // Output-port masks (bit port_index(d)), each with the Local bit set,
+  // so a request is one AND with RouteSet::mask().
+  //
+  // The sendable masks are taken once at the start of a step.  Within a
+  // step a send only makes its own port unsendable, and every design
+  // marks that port claimed before it sends, so the snapshot answers
+  // every later query of the step exactly as the live channels would.
+
+  /// Local plus every link with a credit and a free slot
+  /// (Channel::can_send).
+  [[nodiscard]] unsigned sendable_mask() const noexcept {
+    unsigned m = kLocalBit;
+    for (int d = 0; d < kNumLinkDirs; ++d) {
+      const Channel* ch = env_.out_links[static_cast<std::size_t>(d)];
+      if (ch != nullptr && ch->can_send()) m |= 1u << d;
+    }
+    return m;
   }
 
-  /// Like can_send but ignores on/off stop signals — liveness paths
-  /// (deflection escape, stall-escape override) may push into a full
-  /// receiver, whose must-win logic absorbs the flit.
-  [[nodiscard]] bool can_send_ignoring_stop(Direction d) const {
-    Channel* ch = env_.out_links[port_index(d)];
-    return ch != nullptr && ch->can_send_ignoring_stop();
+  /// Like sendable_mask() but ignoring on/off stop signals — liveness
+  /// paths (deflection escape, stall-escape override) may push into a
+  /// full receiver, whose must-win logic absorbs the flit.
+  [[nodiscard]] unsigned sendable_ignoring_stop_mask() const noexcept {
+    unsigned m = kLocalBit;
+    for (int d = 0; d < kNumLinkDirs; ++d) {
+      const Channel* ch = env_.out_links[static_cast<std::size_t>(d)];
+      if (ch != nullptr && ch->can_send_ignoring_stop()) m |= 1u << d;
+    }
+    return m;
   }
+
+  /// Local plus every live output link: mesh edges and dead links are
+  /// missing (fixed at construction).
+  [[nodiscard]] unsigned live_mask() const noexcept { return live_mask_; }
+
+  static constexpr unsigned kLocalBit = 1u << port_index(Direction::Local);
 
   /// Push a flit onto the outgoing link: bumps the hop count and charges
   /// link energy.  The crossbar-traversal energy is charged by the caller
@@ -216,11 +239,6 @@ class Router {
     return env_.route_lookup->minimal(id_, dst);
   }
 
-  /// The output link exists and is operational.
-  [[nodiscard]] bool link_alive(Direction d) const {
-    return env_.out_links[port_index(d)] != nullptr;
-  }
-
   /// Deflection preference over the link directions: ports that make
   /// forward progress first (live-topology aware — on a degraded mesh
   /// geometric preference can livelock around obstacles), then the
@@ -230,20 +248,25 @@ class Router {
     const auto geometric =
         env_.route_lookup->deflection_ranking(id_, f.dst, salt);
     if (env_.route_table == nullptr) return geometric;
-    const RouteSet prog = progressive_dirs(f.dst);
+    const unsigned prog = progressive_dirs(f.dst).mask();
     std::array<Direction, kNumLinkDirs> out{};
     int k = 0;
     for (Direction d : geometric) {
-      if (prog.contains(d)) out[static_cast<std::size_t>(k++)] = d;
+      if (prog >> port_index(d) & 1u) out[static_cast<std::size_t>(k++)] = d;
     }
     for (Direction d : geometric) {
-      if (!prog.contains(d)) out[static_cast<std::size_t>(k++)] = d;
+      if (!(prog >> port_index(d) & 1u)) {
+        out[static_cast<std::size_t>(k++)] = d;
+      }
     }
     return out;
   }
 
   NodeId id_;
   RouterEnv env_;
+
+ private:
+  unsigned live_mask_;
 };
 
 }  // namespace dxbar

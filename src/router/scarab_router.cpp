@@ -24,7 +24,7 @@ void ScarabRouter::step(Cycle now) {
                  [](const Flit& a, const Flit& b) { return a.older_than(b); });
 
   bool local_taken = false;
-  std::array<bool, kNumLinkDirs> link_taken{};
+  unsigned free = live_mask();  // live links not yet claimed this cycle
 
   // Oldest-first: each flit takes its preferred free *productive* port;
   // a flit with no free productive port is dropped and NACKed.
@@ -42,10 +42,9 @@ void ScarabRouter::step(Cycle now) {
     }
     bool assigned = false;
     for (Direction d : progressive_dirs(f.dst)) {
-      const int di = port_index(d);
-      if (link_taken[static_cast<std::size_t>(di)]) continue;
-      if (!link_alive(d)) continue;
-      link_taken[static_cast<std::size_t>(di)] = true;
+      const unsigned bit = 1u << port_index(d);
+      if (!(free & bit)) continue;
+      free &= ~bit;
       env_.energy->crossbar_traversal();
       send_link(d, f);
       assigned = true;
@@ -65,10 +64,9 @@ void ScarabRouter::step(Cycle now) {
       if (!local_taken) eject(source->pop_front());
     } else {
       for (Direction d : progressive_dirs(head.dst)) {
-        const int di = port_index(d);
-        if (link_taken[static_cast<std::size_t>(di)]) continue;
-        if (!link_alive(d)) continue;
-        link_taken[static_cast<std::size_t>(di)] = true;
+        const unsigned bit = 1u << port_index(d);
+        if (!(free & bit)) continue;
+        free &= ~bit;
         env_.energy->crossbar_traversal();
         send_link(d, source->pop_front());
         break;

@@ -14,18 +14,6 @@ UnifiedRouter::UnifiedRouter(NodeId id, const RouterEnv& env)
                FixedQueue<Flit>(static_cast<std::size_t>(env.cfg->buffer_depth))},
       fairness_(env.cfg->fairness_threshold) {}
 
-std::uint32_t UnifiedRouter::request_mask(const Flit& f,
-                                          bool ignore_stop) const {
-  std::uint32_t mask = 0;
-  for (Direction d : routes(f.dst)) {
-    if (d == Direction::Local ||
-        (ignore_stop ? can_send_ignoring_stop(d) : can_send(d))) {
-      mask |= 1u << port_index(d);
-    }
-  }
-  return mask;
-}
-
 void UnifiedRouter::depart(Flit f, int out) {
   env_.energy->crossbar_traversal();
   if (port_from_index(out) == Direction::Local) {
@@ -39,6 +27,14 @@ void UnifiedRouter::step(Cycle now) {
   (void)now;
 
   // ---- build the dual-candidate request of every input port ----------
+  // Requests, allocation and the escape valve all run before the first
+  // send, so one snapshot of each sendable mask serves them all.
+  const unsigned ok = sendable_mask();
+  const unsigned ok_ignoring_stop = sendable_ignoring_stop_mask();
+  const auto request_mask = [&](const Flit& f, bool ignore_stop) {
+    return static_cast<std::uint32_t>(
+        routes(f.dst).mask() & (ignore_stop ? ok_ignoring_stop : ok));
+  };
   std::array<UnifiedPortRequest, kNumPorts> req{};
   for (int d = 0; d < kNumLinkDirs; ++d) {
     const auto& arrival = in[static_cast<std::size_t>(d)];
@@ -101,9 +97,8 @@ void UnifiedRouter::step(Cycle now) {
     int escape = -1;
     for (Direction dir : ranking) {
       const int o = port_index(dir);
-      if (!env_.mesh->has_link(id_, dir)) continue;
       if (!out_used[static_cast<std::size_t>(o)] &&
-          can_send_ignoring_stop(dir)) {
+          (ok_ignoring_stop >> o & 1u)) {
         escape = o;
         break;
       }

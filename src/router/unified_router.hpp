@@ -55,8 +55,6 @@ class UnifiedRouter final : public Router {
   }
 
  private:
-  [[nodiscard]] std::uint32_t request_mask(const Flit& f,
-                                           bool ignore_stop) const;
   void depart(Flit f, int out);
 
   std::array<FixedQueue<Flit>, kNumLinkDirs> buffers_;

@@ -40,21 +40,11 @@ void VcRouter::step(Cycle now) {
         vcs_[static_cast<std::size_t>(vc_index(d, v))].front().flit;
     // Speculative: bid for every productive port with a live link; the
     // downstream-credit check happens only after winning.
-    for (Direction dir : routes(f.dst)) {
-      if (dir == Direction::Local ||
-          env_.out_links[port_index(dir)] != nullptr) {
-        requests[static_cast<std::size_t>(d)] |= 1u << port_index(dir);
-      }
-    }
+    requests[static_cast<std::size_t>(d)] = routes(f.dst).mask() & live_mask();
   }
   if (source != nullptr && !source->empty()) {
-    for (Direction dir : routes(source->front().dst)) {
-      if (dir == Direction::Local ||
-          env_.out_links[port_index(dir)] != nullptr) {
-        requests[static_cast<std::size_t>(inj_input)] |=
-            1u << port_index(dir);
-      }
-    }
+    requests[static_cast<std::size_t>(inj_input)] =
+        routes(source->front().dst).mask() & live_mask();
   }
 
   // ---- switch allocation + (post-win) VC allocation ---------------------

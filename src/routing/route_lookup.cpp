@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "routing/deflect.hpp"
-
 namespace dxbar {
 
 RouteLookup::RouteLookup(RoutingAlgo algo, const Mesh& mesh)
@@ -38,12 +36,6 @@ RouteLookup::RouteLookup(RoutingAlgo algo, const Mesh& mesh)
       minimal_[k] = minimal_routes(mesh, cur, dst);
     }
   }
-}
-
-std::array<Direction, kNumLinkDirs> RouteLookup::deflection_ranking(
-    NodeId cur, NodeId dst, std::uint64_t salt) const {
-  return dxbar::deflection_ranking(offset_x(cur, dst), offset_y(cur, dst),
-                                   link_mask(cur), salt);
 }
 
 }  // namespace dxbar

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "routing/deflect.hpp"
 #include "routing/route.hpp"
 #include "routing/routing_algorithm.hpp"
 #include "topology/mesh.hpp"
@@ -58,7 +59,10 @@ class RouteLookup {
 
   /// deflection_ranking(mesh, cur, dst, salt), fed from the table.
   [[nodiscard]] std::array<Direction, kNumLinkDirs> deflection_ranking(
-      NodeId cur, NodeId dst, std::uint64_t salt) const;
+      NodeId cur, NodeId dst, std::uint64_t salt) const noexcept {
+    return dxbar::deflection_ranking(offset_x(cur, dst), offset_y(cur, dst),
+                                     link_mask(cur), salt);
+  }
 
  private:
   // Packed node word: x in bits [0, 14), y in [14, 28), link mask in

@@ -58,7 +58,7 @@ RouteSet RouteTable::routes(NodeId cur, NodeId dst) const {
   for (Direction d : kLinkDirs) {
     if (mask & (1u << port_index(d))) {
       out.push_back(d);
-      if (out.size() == 3) break;  // RouteSet capacity
+      if (out.size() == RouteSet::kCapacity) break;
     }
   }
   return out;

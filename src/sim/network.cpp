@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "router/afc_router.hpp"
 #include "router/bless_router.hpp"
@@ -186,16 +188,22 @@ PacketId Network::inject_packet(NodeId src, NodeId dst, int length,
 PacketId Network::inject_packet(NodeId src, NodeId dst, int length, Cycle now,
                                 MsgClass cls) {
   assert(src != dst && "self-addressed packets are not routed");
+  if (length < 1 || length > kMaxPacketLength) {
+    throw std::invalid_argument("packet length " + std::to_string(length) +
+                                " outside [1, " +
+                                std::to_string(kMaxPacketLength) + "]");
+  }
+  assert(now < kCycleLimit && "packet created past the cycle limit");
   const PacketId id = next_packet_++;
   for (int s = 0; s < length; ++s) {
     Flit f;
     f.packet = id;
-    f.seq = static_cast<std::uint16_t>(s);
-    f.packet_len = static_cast<std::uint16_t>(length);
+    f.seq = static_cast<std::uint8_t>(s);
+    f.packet_len = static_cast<std::uint8_t>(length);
     f.src = src;
     f.dst = dst;
     f.cls = static_cast<std::uint8_t>(cls);
-    f.born_at = now;
+    f.born_at = static_cast<FlitCycle>(now);
     f.injected_at = kNotInjected;
     if (cfg_.design == RouterDesign::Scarab) {
       scarab_staging_[src].push_back(f);
@@ -264,7 +272,7 @@ void Network::deliver_flit(const Flit& f) {
     a.rec.injected = f.injected_at;
   }
   ++a.received;
-  a.rec.injected = std::min(a.rec.injected, f.injected_at);
+  a.rec.injected = std::min<Cycle>(a.rec.injected, f.injected_at);
   a.rec.total_hops += f.hops;
   a.rec.total_deflections += f.deflections;
   a.rec.total_retransmits += f.retransmits;
@@ -359,13 +367,16 @@ void Network::sweep_channels(int shard) {
     Channel& ch = channels_[i];
     ch.advance();
     if (ch.has_arrival()) {
-      const Flit f = *ch.take_arrival();
+      // The one copy of the hop: link slot -> input register.  Taking
+      // every arrival here, before any router sends, is what lets the
+      // channel keep its staged flit and its arrival in one slot.
       const ChannelMeta m = channel_meta_[i];
       auto& slot =
           routers_[m.dst_node]->in[static_cast<std::size_t>(m.dst_port)];
       assert(!slot.has_value() && "input register collision");
-      if (tracer_ != nullptr) tracer_->on_flit_hop(f, m.dst_node, now_);
-      slot = f;
+      slot = ch.arrival();
+      ch.clear_arrival();
+      if (tracer_ != nullptr) tracer_->on_flit_hop(*slot, m.dst_node, now_);
     }
     if (!ch.pinned() && ch.quiescent()) {
       ch.mark_delisted();
@@ -406,6 +417,12 @@ void Network::run_sharded(F&& fn) {
 }
 
 void Network::step() {
+  if (now_ >= kCycleLimit) {
+    throw ClockOverflow("network clock reached cycle " +
+                        std::to_string(now_) +
+                        ", which a flit's u32 stamp cannot hold");
+  }
+
   // One cycle, in five phases.  The parallel phases (1, 4) are a data
   // partition of the single-threaded loop — same per-element work, only
   // the executing thread differs — and the barriers between phases are

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/config.hpp"
@@ -49,6 +50,13 @@ class EventTracer {
   }
 };
 
+/// Thrown by Network::step instead of simulating cycle kCycleLimit,
+/// whose stamp a Flit cannot hold (see common/flit.hpp).
+class ClockOverflow : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class Network final : public Injector {
  public:
   /// Builds the mesh of routers for `cfg`; the fault plan defaults to
@@ -73,7 +81,8 @@ class Network final : public Injector {
   void set_tracer(EventTracer* t) { tracer_ = t; }
 
   /// Advance one cycle: channel movement, arrivals, injection, router
-  /// switching, ejection/reassembly, NACK deliveries.
+  /// switching, ejection/reassembly, NACK deliveries.  Throws
+  /// ClockOverflow, changing nothing, when now() has reached kCycleLimit.
   void step();
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
@@ -85,6 +94,8 @@ class Network final : public Injector {
   [[nodiscard]] bool idle() const;
 
   // --- Injector -------------------------------------------------------
+  /// Queues a `length`-flit packet at `src`; throws std::invalid_argument
+  /// unless 1 <= length <= kMaxPacketLength.
   PacketId inject_packet(NodeId src, NodeId dst, int length,
                          Cycle now) override;
   PacketId inject_packet(NodeId src, NodeId dst, int length, Cycle now,

@@ -110,6 +110,7 @@ void Network::load(SnapshotReader& r) {
         "faults, seed, or stats window)");
   }
   now_ = r.u64();
+  if (now_ > kCycleLimit) throw SnapshotError("network clock out of range");
   next_packet_ = r.u64();
   flits_created_ = r.u64();
   flits_delivered_ = r.u64();
@@ -158,6 +159,7 @@ void Network::load(SnapshotReader& r) {
   const std::uint64_t mshrs = r.count(8 + 4);
   for (std::uint64_t i = 0; i < mshrs; ++i) {
     const PacketId key = r.u64();
+    if (key == 0) throw SnapshotError("reassembly entry for packet id 0");
     Assembly& a = assembly_[key];
     a.received = r.i32();
     a.rec = load_packet_record(r);

@@ -18,13 +18,18 @@ namespace dxbar {
 
 // ---- Flit -----------------------------------------------------------
 
+// The stream is wider than Flit: seq / packet_len travel as u16 and the
+// cycle stamps as u64, with ~u64{0} for "not injected".  Loading
+// range-checks every narrowed field: a value the Flit cannot hold is a
+// corrupt stream, never a silent truncation.
+
 inline void save_flit(SnapshotWriter& w, const Flit& f) {
   w.u64(f.packet);
   w.u16(f.seq);
   w.u16(f.packet_len);
   w.u32(f.src);
   w.u32(f.dst);
-  w.u64(f.injected_at);
+  w.u64(f.injected_at == kNotInjected ? ~std::uint64_t{0} : f.injected_at);
   w.u64(f.born_at);
   w.u8(f.vc);
   w.u8(f.cls);  // added in snapshot version 4
@@ -34,14 +39,29 @@ inline void save_flit(SnapshotWriter& w, const Flit& f) {
 }
 
 inline Flit load_flit(SnapshotReader& r) {
+  const auto narrow_u8 = [](std::uint16_t v, const char* field) {
+    if (v > kMaxPacketLength) {
+      throw SnapshotError(std::string("flit ") + field + " out of range");
+    }
+    return static_cast<std::uint8_t>(v);
+  };
   Flit f;
   f.packet = r.u64();
-  f.seq = r.u16();
-  f.packet_len = r.u16();
+  f.seq = narrow_u8(r.u16(), "seq");
+  f.packet_len = narrow_u8(r.u16(), "packet_len");
   f.src = r.u32();
   f.dst = r.u32();
-  f.injected_at = r.u64();
-  f.born_at = r.u64();
+  const std::uint64_t injected = r.u64();
+  if (injected == ~std::uint64_t{0}) {
+    f.injected_at = kNotInjected;
+  } else if (injected < kCycleLimit) {
+    f.injected_at = static_cast<FlitCycle>(injected);
+  } else {
+    throw SnapshotError("flit injected_at out of range");
+  }
+  const std::uint64_t born = r.u64();
+  if (born >= kCycleLimit) throw SnapshotError("flit born_at out of range");
+  f.born_at = static_cast<FlitCycle>(born);
   f.vc = r.u8();
   if (r.version() >= 4) f.cls = r.u8();
   f.deflections = r.u8();

@@ -8,6 +8,12 @@
 // The channel also carries credits in the reverse direction with one
 // cycle of return latency.  Credit-free channels (Flit-Bless / SCARAB
 // links) are constructed with `kUnlimitedCredits`.
+//
+// The three pipeline registers (staged, in flight, arrived) live in two
+// flit slots.  The network takes every arrival before any router sends
+// (DESIGN.md §5), so the staged and arrived registers are never full at
+// once and share a slot; advance() moves the pipeline by flipping which
+// slot is which and copies no flit.
 #pragma once
 
 #include <cassert>
@@ -45,7 +51,7 @@ class Channel {
 
   /// A credit is available on the given VC and the link is free.
   [[nodiscard]] bool can_send_vc(int vc) const noexcept {
-    if (staged_.has_value() || stop_) return false;
+    if (has(kStaged) || stop_) return false;
     return vc_credits_[static_cast<std::size_t>(vc)] > 0;
   }
 
@@ -54,8 +60,7 @@ class Channel {
     assert(can_send_vc(vc));
     --vc_credits_[static_cast<std::size_t>(vc)];
     --credits_;
-    staged_ = f;
-    staged_->vc = static_cast<std::uint8_t>(vc);
+    stage(f).vc = static_cast<std::uint8_t>(vc);
     ++total_sends_;
     touch();
   }
@@ -73,7 +78,7 @@ class Channel {
   /// the receiver has not asserted stop, and no flit was already sent
   /// this cycle.
   [[nodiscard]] bool can_send() const noexcept {
-    if (staged_.has_value() || stop_) return false;
+    if (has(kStaged) || stop_) return false;
     return !limited_ || credits_ > 0;
   }
 
@@ -84,7 +89,7 @@ class Channel {
   void send(const Flit& f) {
     assert(can_send_ignoring_stop());
     if (limited_) --credits_;
-    staged_ = f;
+    stage(f);
     ++total_sends_;
     touch();
   }
@@ -92,8 +97,8 @@ class Channel {
   /// Hop-count bump applied in place on the just-staged flit, so the
   /// router send path copies each departing flit exactly once.
   void bump_staged_hops() noexcept {
-    assert(staged_.has_value());
-    ++staged_->hops;
+    assert(has(kStaged));
+    ++flits_[stage_].hops;
   }
 
   /// Flits ever sent over this link (utilization accounting).
@@ -105,18 +110,24 @@ class Channel {
 
   // ---- downstream (receiver) side -------------------------------------
 
-  /// The flit delivered this cycle, if any.  The network moves it into
-  /// the downstream router's input register and clears it.
-  [[nodiscard]] std::optional<Flit> take_arrival() noexcept {
-    auto out = arrived_;
-    arrived_.reset();
-    return out;
-  }
+  /// A flit was delivered this cycle.
+  [[nodiscard]] bool has_arrival() const noexcept { return has(kArrived); }
 
-  /// Cheap emptiness probe so the network's per-cycle loop can skip the
-  /// optional copy in take_arrival() for the (common) idle channels.
-  [[nodiscard]] bool has_arrival() const noexcept {
-    return arrived_.has_value();
+  /// The flit delivered this cycle; requires has_arrival().  The network
+  /// copies it straight into the downstream input register, then calls
+  /// clear_arrival() — before any router of the cycle sends.
+  [[nodiscard]] const Flit& arrival() const noexcept {
+    assert(has(kArrived));
+    return flits_[stage_];
+  }
+  void clear_arrival() noexcept { valid_ &= ~kArrived; }
+
+  /// The flit delivered this cycle, if any, taken out of the channel
+  /// (tests drive standalone channels through this).
+  [[nodiscard]] std::optional<Flit> take_arrival() noexcept {
+    if (!has(kArrived)) return std::nullopt;
+    clear_arrival();
+    return flits_[stage_];
   }
 
   /// Downstream frees a buffer slot (or forwarded the flit without ever
@@ -149,23 +160,20 @@ class Channel {
   /// there — stop is only a congestion heuristic, so liveness paths
   /// may override it.
   [[nodiscard]] bool can_send_ignoring_stop() const noexcept {
-    if (staged_.has_value()) return false;
+    if (has(kStaged)) return false;
     return !limited_ || credits_ > 0;
   }
 
   // ---- per-cycle advance, called once by the network --------------------
 
   /// Moves the pipeline one cycle: in-flight -> arrived, staged -> in-flight,
-  /// pending credit returns -> usable credits.
+  /// pending credit returns -> usable credits.  The in-flight slot becomes
+  /// the arrival slot and the staged slot the in-flight one, so the
+  /// registers move by an index flip and three valid-bit shifts.
   void advance() noexcept {
-    assert(!arrived_.has_value() && "previous arrival was not consumed");
-    // Empty-pipeline fast path: shifting three empty optionals is a
-    // no-op, so only do the copies when a flit is actually in transit.
-    if (in_flight_.has_value() || staged_.has_value()) {
-      arrived_ = in_flight_;
-      in_flight_ = staged_;
-      staged_.reset();
-    }
+    assert(!has(kArrived) && "previous arrival was not consumed");
+    stage_ ^= 1;
+    valid_ = static_cast<std::uint8_t>((valid_ << 1) & (kInFlight | kArrived));
     if (pending_credits_ != 0) {
       credits_ += pending_credits_;
       pending_credits_ = 0;
@@ -179,8 +187,7 @@ class Channel {
 
   /// Flits currently inside the channel (staged or on the wire).
   [[nodiscard]] int occupancy() const noexcept {
-    return (staged_.has_value() ? 1 : 0) + (in_flight_.has_value() ? 1 : 0) +
-           (arrived_.has_value() ? 1 : 0);
+    return (valid_ & 1) + (valid_ >> 1 & 1) + (valid_ >> 2 & 1);
   }
 
   // ---- active-channel tracking ----------------------------------------
@@ -202,9 +209,7 @@ class Channel {
   /// Nothing in the pipeline, no credits to post, stop signal latched:
   /// advance() would change no state.
   [[nodiscard]] bool quiescent() const noexcept {
-    return !staged_.has_value() && !in_flight_.has_value() &&
-           !arrived_.has_value() && pending_credits_ == 0 &&
-           stop_ == stop_pending_;
+    return valid_ == 0 && pending_credits_ == 0 && stop_ == stop_pending_;
   }
 
   /// The network delists a quiescent channel during its sweep.
@@ -235,9 +240,10 @@ class Channel {
     w.u64(total_sends_);
     w.boolean(stop_);
     w.boolean(stop_pending_);
-    save_optional_flit(w, staged_);
-    save_optional_flit(w, in_flight_);
-    save_optional_flit(w, arrived_);
+    // The three registers, in the optional layout of the stream format.
+    save_optional_flit(w, register_at(kStaged, stage_));
+    save_optional_flit(w, register_at(kInFlight, stage_ ^ 1));
+    save_optional_flit(w, register_at(kArrived, stage_));
   }
 
   /// Restores the channel's mutable state.  The caller must have cleared
@@ -257,14 +263,47 @@ class Channel {
     total_sends_ = r.u64();
     stop_ = r.boolean();
     stop_pending_ = r.boolean();
-    staged_ = load_optional_flit(r);
-    in_flight_ = load_optional_flit(r);
-    arrived_ = load_optional_flit(r);
+    const std::optional<Flit> staged = load_optional_flit(r);
+    const std::optional<Flit> in_flight = load_optional_flit(r);
+    const std::optional<Flit> arrived = load_optional_flit(r);
+    if (staged && arrived) {
+      // No step boundary holds both: arrivals are taken before sends.
+      throw SnapshotError("channel holds both a staged flit and an arrival");
+    }
+    stage_ = 0;
+    if (staged || arrived) flits_[0] = staged ? *staged : *arrived;
+    if (in_flight) flits_[1] = *in_flight;
+    valid_ = static_cast<std::uint8_t>((staged ? kStaged : 0) |
+                                       (in_flight ? kInFlight : 0) |
+                                       (arrived ? kArrived : 0));
     listed_ = false;
     if (pinned_ || !quiescent()) touch();
   }
 
  private:
+  // valid_ bits.  advance() shifts each register's bit one place left.
+  static constexpr std::uint8_t kStaged = 1;
+  static constexpr std::uint8_t kInFlight = 2;
+  static constexpr std::uint8_t kArrived = 4;
+
+  [[nodiscard]] bool has(std::uint8_t reg) const noexcept {
+    return (valid_ & reg) != 0;
+  }
+
+  /// Writes `f` into the staged register; asserts that this cycle's
+  /// arrival, which shares the slot, was already taken.
+  Flit& stage(const Flit& f) noexcept {
+    assert(!has(kArrived) && "send before the arrival was taken");
+    valid_ |= kStaged;
+    return flits_[stage_] = f;
+  }
+
+  [[nodiscard]] std::optional<Flit> register_at(std::uint8_t reg,
+                                                unsigned slot) const {
+    if (!has(reg)) return std::nullopt;
+    return flits_[slot];
+  }
+
   void touch() {
     if (active_list_ != nullptr && !listed_) {
       listed_ = true;
@@ -287,9 +326,12 @@ class Channel {
   bool pinned_ = false;
   bool stop_ = false;
   bool stop_pending_ = false;
-  std::optional<Flit> staged_;     ///< sent this cycle (ST just finished)
-  std::optional<Flit> in_flight_;  ///< on the wire (LT stage)
-  std::optional<Flit> arrived_;    ///< at the downstream input register
+  /// flits_[stage_] holds the staged flit (sent this cycle, ST just
+  /// finished) or the arrival (at the downstream input register), never
+  /// both; flits_[stage_ ^ 1] holds the flit on the wire (LT stage).
+  std::uint8_t stage_ = 0;
+  std::uint8_t valid_ = 0;  ///< kStaged | kInFlight | kArrived
+  Flit flits_[2] = {};
 };
 
 }  // namespace dxbar

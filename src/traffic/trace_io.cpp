@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/flit.hpp"
+
 namespace dxbar {
 
 namespace {
@@ -46,7 +48,8 @@ std::vector<TraceEntry> read_trace(std::istream& is) {
     std::istringstream ls(line);
     TraceEntry e;
     if (!(ls >> e.cycle)) continue;  // blank or comment-only line
-    if (!(ls >> e.src >> e.dst >> e.length) || e.length < 1) {
+    if (!(ls >> e.src >> e.dst >> e.length) || e.length < 1 ||
+        e.length > kMaxPacketLength) {
       throw TraceError(TraceError::Kind::Malformed,
                        "malformed trace line " + std::to_string(lineno));
     }
@@ -95,10 +98,10 @@ void StreamingTraceWriter::append(const TraceEntry& e) {
     throw TraceError(TraceError::Kind::Malformed,
                      "append() after finish()");
   }
-  if (e.length < 1) {
+  if (e.length < 1 || e.length > kMaxPacketLength) {
     throw TraceError(TraceError::Kind::Malformed,
-                     "trace entry " + std::to_string(count_) +
-                         ": length " + std::to_string(e.length) + " < 1");
+                     "trace entry " + std::to_string(count_) + ": length " +
+                         std::to_string(e.length) + " outside [1, 255]");
   }
   if (count_ != 0 && e.cycle < last_cycle_) {
     throw TraceError(TraceError::Kind::Malformed,
@@ -192,13 +195,15 @@ void StreamingTraceReader::refill() {
     e.cycle = get_le(p, 8);
     e.src = static_cast<NodeId>(get_le(p + 8, 4));
     e.dst = static_cast<NodeId>(get_le(p + 12, 4));
-    e.length = static_cast<int>(get_le(p + 16, 4));
+    const std::uint64_t length = get_le(p + 16, 4);
     const std::uint64_t index = consumed_ + i;
-    if (e.length < 1) {
+    if (length < 1 || length > kMaxPacketLength) {
       throw TraceError(TraceError::Kind::Malformed,
                        "trace record " + std::to_string(index) +
-                           ": length " + std::to_string(e.length) + " < 1");
+                           ": length " + std::to_string(length) +
+                           " outside [1, 255]");
     }
+    e.length = static_cast<int>(length);
     if (index != 0 && e.cycle < last_cycle_) {
       throw TraceError(TraceError::Kind::Malformed,
                        "trace record " + std::to_string(index) +

@@ -8,11 +8,12 @@
 // Binary streaming format ("DXTR"): a 16-byte little-endian header —
 // magic "DXTR" (u32), version (u16), endian marker 0xFEFF (u16), record
 // count (u64) — followed by `count` fixed 20-byte records (cycle u64,
-// src u32, dst u32, length u32), cycles non-decreasing.  The writer
-// stamps the count sentinel ~0 first and backpatches the real count on
-// finish(), so a trace from a crashed producer is detected as truncated
-// instead of replaying a silent prefix.  Reader and writer both work in
-// bounded chunks, so multi-GB traces stream in O(chunk) memory.
+// src u32, dst u32, length u32 in [1, 255]), cycles non-decreasing.
+// The writer stamps the count sentinel ~0 first and backpatches the real
+// count on finish(), so a trace from a crashed producer is detected as
+// truncated instead of replaying a silent prefix.  Reader and writer
+// both work in bounded chunks, so multi-GB traces stream in O(chunk)
+// memory.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,8 @@ class TraceError : public std::runtime_error {
     Truncated,        ///< file ends mid-record, or an unfinished writer
     CorruptHeader,    ///< bad magic or endian marker
     VersionMismatch,  ///< header version this reader does not understand
-    Malformed,        ///< bad field values (length < 1, cycle regression)
+    Malformed,        ///< bad field values (length outside [1, 255],
+                      ///< cycle regression)
   };
 
   TraceError(Kind kind, const std::string& what)
@@ -77,7 +79,7 @@ void write_trace(std::ostream& os, std::span<const TraceEntry> entries);
 inline constexpr std::uint16_t kTraceFormatVersion = 1;
 
 /// Incremental writer for the binary "DXTR" format.  Records must be
-/// appended in non-decreasing cycle order with length >= 1 (TraceError
+/// appended in non-decreasing cycle order with length in [1, 255] (TraceError
 /// Kind::Malformed otherwise).  The header is written with a count
 /// sentinel that finish() backpatches, so the stream must be seekable;
 /// a writer destroyed without finish() leaves the sentinel in place and
